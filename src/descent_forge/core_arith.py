@@ -2,8 +2,9 @@
 
 Everything operates on Python's arbitrary-precision integers and raises
 instead of guessing when an operation is undefined (gcd of two zeros,
-valuation of zero, and so on). Factor counting is deterministic trial
-division: slow past desk scale, exact everywhere.
+valuation of zero, and so on). factorize is the one trial-division
+routine: primality, factor counting and every prime list elsewhere in the
+package come from it. Slow past desk scale, exact everywhere.
 """
 
 from __future__ import annotations
@@ -36,20 +37,32 @@ def gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of |n| as ascending (prime, exponent) pairs.
+
+    factorize(1) = factorize(-1) = []; factorize(0) is undefined.
+    """
+    if n == 0:
+        raise UndefinedValuation("factorize(0) is undefined")
+    n = abs(n)
+    factors = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            exponent = 0
+            while n % d == 0:
+                n //= d
+                exponent += 1
+            factors.append((d, exponent))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors.append((n, 1))
+    return factors
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic trial-division primality test."""
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def nu_p(p: int, a: int) -> int:
@@ -79,20 +92,7 @@ def nu(a: int) -> int:
     """
     if a == 0:
         raise UndefinedValuation("nu(0) is undefined")
-    a = abs(a)
-    count = 0
-    while a % 2 == 0:
-        a //= 2
-        count += 1
-    d = 3
-    while d * d <= a:
-        while a % d == 0:
-            a //= d
-            count += 1
-        d += 2
-    if a > 1:
-        count += 1
-    return count
+    return sum(exponent for _, exponent in factorize(a))
 
 
 def isqrt_exact(a: int) -> int | None:

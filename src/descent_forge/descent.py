@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core_arith import nu, pythagorean_decompose, coprime_split
+from .core_arith import coprime_split, factorize, nu, pythagorean_decompose
 from .equations import (
     R1,
     ResolventSolution,
@@ -105,7 +105,7 @@ def residue_obstruction(system: ResolventSystem, modulus: int) -> ObstructionRep
     if modulus < 2 or modulus > MODULUS_LIMIT:
         raise BoundExceeded(f"modulus {modulus} outside [2, {MODULUS_LIMIT}]")
     deep = _analysis_modulus(modulus)
-    primes = _prime_divisors(modulus)
+    primes = [prime for prime, _ in factorize(modulus)]
 
     # Group pairs by (quadratic value, product) mod the analysis modulus;
     # a survivor is a left pair and a right pair in the same group.
@@ -141,20 +141,6 @@ def residue_obstruction(system: ResolventSystem, modulus: int) -> ObstructionRep
         surviving_products=tuple(sorted(surviving)),
         survivor_classes=survivor_classes,
     )
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def nu_lower_bound(system: ResolventSystem) -> int:

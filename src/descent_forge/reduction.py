@@ -24,6 +24,7 @@ from .equations import (
     QuarticSolution,
     R1,
     ResolventSolution,
+    check_resolvent,
     equation_by_id,
     quartic_solution,
     resolvent_solution,
@@ -217,7 +218,7 @@ def backward_lift_biquadratic(
 
         (psi*phi)^4 + 4(T*S)^4 = (T^4 + S^4)^2.
     """
-    if not _is_r1(x, y, xp, yp):
+    if not check_resolvent(R1, x, y, xp, yp):
         raise NotAResolventSolution(f"({x}, {y}, {xp}, {yp}) does not satisfy R1")
     canon, signs = _canonicalize({"x": x, "y": y, "xp": xp, "yp": yp})
     x, y, xp, yp = canon["x"], canon["y"], canon["xp"], canon["yp"]
@@ -318,7 +319,7 @@ def resolvent_to_sextic(
     (xp^2 + yp^2)^2 + 4 (xp*yp)^2 which, on a solution of R1, collapses to
     (x^2 + y^2)^2; its root D completes (xp, yp) to a solution of E4.
     """
-    if not _is_r1(x, y, xp, yp):
+    if not check_resolvent(R1, x, y, xp, yp):
         raise NotAResolventSolution(f"({x}, {y}, {xp}, {yp}) does not satisfy R1")
     canon, signs = _canonicalize({"x": x, "y": y, "xp": xp, "yp": yp})
     x, y, xp, yp = canon["x"], canon["y"], canon["xp"], canon["yp"]
@@ -341,15 +342,6 @@ def resolvent_to_sextic(
     trace.add(STAGE_ASSEMBLE, {"xp": xp, "yp": yp, "D": d}, {"x": xp, "y": yp, "z": d})
     trace.final = result
     return result, trace
-
-
-def _is_r1(x: int, y: int, xp: int, yp: int) -> bool:
-    return (
-        x * x - y * y == xp * xp + yp * yp
-        and x * y == xp * yp
-        and math.gcd(x, y) == 1
-        and math.gcd(xp, yp) == 1
-    )
 
 
 def replay_trace(trace: ReductionTrace) -> None:
@@ -408,7 +400,7 @@ def _check_twin_decompose(i: dict, o: dict) -> bool:
 
 def _check_forward_assemble(i: dict, o: dict) -> bool:
     quad = (o["x"], o["y"], o["xp"], o["yp"])
-    return quad == (i["lam"], i["gam"], i["lam_p"], i["gam_p"]) and _is_r1(*quad)
+    return quad == (i["lam"], i["gam"], i["lam_p"], i["gam_p"]) and check_resolvent(R1, *quad)
 
 
 def _check_lift_ts(i: dict, o: dict) -> bool:
@@ -441,7 +433,7 @@ def _check_lift_assemble(i: dict, o: dict) -> bool:
 
 def _check_symmetric_assemble(i: dict, o: dict) -> bool:
     quad = (o["x"], o["y"], o["xp"], o["yp"])
-    return quad == (i["u"], i["v"], i["x"], i["y"]) and _is_r1(*quad)
+    return quad == (i["u"], i["v"], i["x"], i["y"]) and check_resolvent(R1, *quad)
 
 
 def _check_symmetric_root(i: dict, o: dict) -> bool:

@@ -1,13 +1,17 @@
 """Bounded exhaustive searches over the catalog and the resolvents.
 
 Quartic searches walk the coprime grid 0 <= x, y <= bound and ask for
-exact z values; resolvent searches walk coprime (x, y) pairs and
-enumerate coprime factorizations of x*y for the primed side. Reports list
-canonical (componentwise nonnegative) representatives sorted
+exact z values; resolvent searches walk coprime (x, y) pairs and take the
+primed side from the coprime factorizations of x*y. Because gcd(x, y) = 1,
+each of those is a unitary divisor of x times one of y, so the candidates
+are products of per-coordinate unitary splits and x*y is never factored.
+Reports list canonical (componentwise nonnegative) representatives sorted
 lexicographically, plus the total number of signed solutions their
 orbits contain, so results are bit-stable across runs and partitionings.
 
-The work is split into fixed-size row chunks merged in chunk order. The
+Both searches are a row kernel run by one shared engine, _search, which
+validates the bound, splits rows 0..bound into fixed 128-row chunks,
+merges them in chunk order and assembles the SearchReport. The
 DESCENT_FORGE_THREADS environment variable (default 1) caps how many
 chunks are processed concurrently; the chunk layout does not depend on
 it, so reports are identical at any thread count.
@@ -18,15 +22,20 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 from itertools import product as iter_product
 
+from .core_arith import factorize
 from .equations import (
     QuarticEquation,
     ResolventSystem,
+    classify_trivial,
     eval_quartic,
     list_catalog,
+    quartic_solution,
     resolvent_by_id,
 )
 from .errors import (
@@ -98,26 +107,71 @@ class SearchReport:
         return out
 
 
-def _chunks(bound: int) -> list[range]:
-    return [
-        range(start, min(start + _CHUNK_ROWS, bound + 1))
-        for start in range(0, bound + 1, _CHUNK_ROWS)
-    ]
-
-
 def _run_chunks(worker, chunks: list[range], threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # More workers than chunks would only idle; one chunk runs inline.
+    workers = min(threads, len(chunks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, chunks))
     return [worker(chunk) for chunk in chunks]
 
 
+def _search(
+    target_id: str,
+    kind: str,
+    bound: int,
+    limit: int,
+    row_kernel: Callable[[int], Iterable[tuple[tuple[int, ...], int, bool]]],
+    *,
+    require_coprime: bool,
+    include_trivial: bool,
+    threads: int | None,
+) -> SearchReport:
+    """Shared chunk engine: run row_kernel over rows 0..bound and merge.
+
+    row_kernel(x) yields (solution, orbit size, trivial) for every
+    canonical solution in row x. Every orbit is counted; trivial solutions
+    are listed only when include_trivial is set.
+    """
+    if not 1 <= bound <= limit:
+        raise BoundExceeded(f"{kind} bound {bound} outside [1, {limit}]")
+    workers = thread_count(threads)
+    start = time.perf_counter()
+
+    def scan(rows: range) -> tuple[list[tuple[int, ...]], int]:
+        found: list[tuple[int, ...]] = []
+        orbits = 0
+        for x in rows:
+            for solution, orbit_size, trivial in row_kernel(x):
+                orbits += orbit_size
+                if include_trivial or not trivial:
+                    found.append(solution)
+        return found, orbits
+
+    chunks = [
+        range(first, min(first + _CHUNK_ROWS, bound + 1))
+        for first in range(0, bound + 1, _CHUNK_ROWS)
+    ]
+    solutions: list[tuple[int, ...]] = []
+    orbit_count = 0
+    for found, orbits in _run_chunks(scan, chunks, workers):
+        solutions.extend(found)
+        orbit_count += orbits
+    elapsed = (time.perf_counter() - start) * 1000.0
+    return SearchReport(
+        target_id=target_id,
+        bound=bound,
+        require_coprime=require_coprime,
+        include_trivial=include_trivial,
+        solutions=tuple(sorted(solutions)),
+        orbit_count=orbit_count,
+        partitions=len(chunks),
+        elapsed_ms=elapsed,
+    )
+
+
 def _quartic_orbit_size(x: int, y: int, z: int) -> int:
-    size = 1
-    for coord in (x, y, z):
-        if coord != 0:
-            size *= 2
-    return size
+    return 2 ** ((x != 0) + (y != 0) + (z != 0))
 
 
 def search_quartic(
@@ -134,70 +188,29 @@ def search_quartic(
     to the coprimality option), so a scan that finds nothing but trivial
     orbits still reports their total size.
     """
-    if not 1 <= bound <= QUARTIC_BOUND_LIMIT:
-        raise BoundExceeded(f"quartic bound {bound} outside [1, {QUARTIC_BOUND_LIMIT}]")
-    workers = thread_count(threads)
-    start = time.perf_counter()
 
-    def scan(rows: range) -> tuple[list[tuple[int, int, int]], int]:
-        found: list[tuple[int, int, int]] = []
-        orbits = 0
-        for x in rows:
-            for y in range(bound + 1):
-                if require_coprime and math.gcd(x, y) != 1:
-                    continue
-                for sol in eval_quartic(eq, x, y):
-                    if sol.z < 0:
-                        continue
-                    orbits += _quartic_orbit_size(sol.x, sol.y, sol.z)
-                    if sol.trivial and not include_trivial:
-                        continue
-                    found.append((sol.x, sol.y, sol.z))
-        return found, orbits
+    def row(x: int):
+        for y in range(bound + 1):
+            if require_coprime and math.gcd(x, y) != 1:
+                continue
+            for sol in eval_quartic(eq, x, y):
+                if sol.z >= 0:
+                    yield sol.as_tuple(), _quartic_orbit_size(sol.x, sol.y, sol.z), sol.trivial
 
-    chunks = _chunks(bound)
-    parts = _run_chunks(scan, chunks, workers)
-    solutions: list[tuple[int, int, int]] = []
-    orbit_count = 0
-    for found, orbits in parts:
-        solutions.extend(found)
-        orbit_count += orbits
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return SearchReport(
-        target_id=eq.id,
-        bound=bound,
-        require_coprime=require_coprime,
-        include_trivial=include_trivial,
-        solutions=tuple(sorted(solutions)),
-        orbit_count=orbit_count,
-        partitions=len(chunks),
-        elapsed_ms=elapsed,
+    return _search(
+        eq.id, "quartic", bound, QUARTIC_BOUND_LIMIT, row,
+        require_coprime=require_coprime, include_trivial=include_trivial, threads=threads,
     )
 
 
-def _unitary_divisor_pairs(n: int) -> list[tuple[int, int]]:
-    """All (d, n // d) with gcd(d, n // d) = 1, for n >= 1."""
-    factors: list[int] = []
-    rest = n
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            power = 1
-            while rest % d == 0:
-                rest //= d
-                power *= d
-            factors.append(power)
-        d += 1 if d == 2 else 2
-    if rest > 1:
-        factors.append(rest)
-    pairs = []
-    for mask in range(1 << len(factors)):
-        first = 1
-        for index, power in enumerate(factors):
-            if mask >> index & 1:
-                first *= power
-        pairs.append((first, n // first))
-    return sorted(pairs)
+@cache
+def _unitary_splits(n: int) -> tuple[tuple[int, int], ...]:
+    """All (d, n // d) with gcd(d, n // d) = 1, ascending in d, for n >= 1."""
+    divisors = [1]
+    for prime, exponent in factorize(n):
+        power = prime**exponent
+        divisors += [d * power for d in divisors]
+    return tuple((d, n // d) for d in sorted(divisors))
 
 
 def _resolvent_orbit_size(quad: tuple[int, int, int, int]) -> int:
@@ -220,62 +233,41 @@ def search_resolvent(
     For each coprime (x, y) with 0 <= x, y <= bound the primed side is
     enumerated through the coprime factorizations of x*y (the product
     equality makes that exhaustive) and checked against the quadratic
-    equality exactly. Coprimality is part of solution-hood here, so there
-    is no coprimality option.
+    equality exactly. Since gcd(x, y) = 1, those factorizations are the
+    products (dx*dy, (x//dx)*(y//dy)) of the unitary splits of x and of y,
+    so x*y itself is never factored. Coprimality is part of
+    solution-hood here, so there is no coprimality option.
     """
-    if not 1 <= bound <= RESOLVENT_BOUND_LIMIT:
-        raise BoundExceeded(
-            f"resolvent bound {bound} outside [1, {RESOLVENT_BOUND_LIMIT}]"
-        )
-    workers = thread_count(threads)
-    start = time.perf_counter()
+    m, n, k, l = system.m, system.n, system.k, system.l
 
-    def scan(rows: range) -> tuple[list[tuple[int, int, int, int]], int]:
-        found: list[tuple[int, int, int, int]] = []
-        orbits = 0
-        for x in rows:
-            for y in range(bound + 1):
-                if math.gcd(x, y) != 1:
-                    continue
-                lhs = system.m * x * x + system.n * y * y
-                if x * y == 0:
-                    # Coprimality pins the primed side to (1, 0) or (0, 1).
-                    candidates = []
-                    if system.k == lhs:
-                        candidates.append((1, 0))
-                    if system.l == lhs:
-                        candidates.append((0, 1))
-                else:
-                    candidates = [
-                        pair
-                        for pair in _unitary_divisor_pairs(x * y)
-                        if system.k * pair[0] ** 2 + system.l * pair[1] ** 2 == lhs
-                    ]
-                for xp, yp in candidates:
-                    quad = (x, y, xp, yp)
-                    orbits += _resolvent_orbit_size(quad)
-                    if x * y == 0 and not include_trivial:
-                        continue
-                    found.append(quad)
-        return found, orbits
+    def row(x: int):
+        x_splits = _unitary_splits(x) if x else ()
+        for y in range(bound + 1):
+            if math.gcd(x, y) != 1:
+                continue
+            lhs = m * x * x + n * y * y
+            if x * y == 0:
+                # Coprimality pins the primed side to (1, 0) or (0, 1).
+                candidates = []
+                if k == lhs:
+                    candidates.append((1, 0))
+                if l == lhs:
+                    candidates.append((0, 1))
+            else:
+                y_splits = _unitary_splits(y)
+                candidates = [
+                    (dx * dy, cx * cy)
+                    for dx, cx in x_splits
+                    for dy, cy in y_splits
+                    if k * (dx * dy) ** 2 + l * (cx * cy) ** 2 == lhs
+                ]
+            for xp, yp in candidates:
+                quad = (x, y, xp, yp)
+                yield quad, _resolvent_orbit_size(quad), x * y == 0
 
-    chunks = _chunks(bound)
-    parts = _run_chunks(scan, chunks, workers)
-    solutions: list[tuple[int, int, int, int]] = []
-    orbit_count = 0
-    for found, orbits in parts:
-        solutions.extend(found)
-        orbit_count += orbits
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return SearchReport(
-        target_id=system.id,
-        bound=bound,
-        require_coprime=True,
-        include_trivial=include_trivial,
-        solutions=tuple(sorted(solutions)),
-        orbit_count=orbit_count,
-        partitions=len(chunks),
-        elapsed_ms=elapsed,
+    return _search(
+        system.id, "resolvent", bound, RESOLVENT_BOUND_LIMIT, row,
+        require_coprime=True, include_trivial=include_trivial, threads=threads,
     )
 
 
@@ -297,21 +289,15 @@ class VerifyOutcome:
         }
 
 
-def _expected_biquadratic_behavior(x: int, y: int, z: int) -> str:
-    if x * y == 0:
-        return "TrivialInput"
-    if math.gcd(x, 2 * y) != 1:
-        return "NotPrimitive"
-    return "ok"
-
-
-def _expected_symmetric_behavior(x: int, y: int, z: int) -> str:
-    if math.gcd(x, y) != 1:
-        return "NotPrimitive"
-    return "ok"
-
-
-def _actual_reduction_behavior(eq_id: str, x: int, y: int, z: int) -> str:
+def _cross_check(eq_id: str, x: int, y: int, z: int) -> dict:
+    """Check that the reduction maps accept or reject one solution of E2 or
+    E4 (trivial ones included) exactly as their domains say."""
+    if eq_id == "E2" and x * y == 0:
+        expected = "TrivialInput"
+    elif math.gcd(x, 2 * y if eq_id == "E2" else y) != 1:
+        expected = "NotPrimitive"
+    else:
+        expected = "ok"
     try:
         if eq_id == "E2":
             reduction.forward_reduce_biquadratic(x, y, z)
@@ -320,48 +306,33 @@ def _actual_reduction_behavior(eq_id: str, x: int, y: int, z: int) -> str:
             reduction.replay_trace(trace)
             lifted, lift_trace = reduction.resolvent_to_sextic(*result.as_tuple())
             reduction.replay_trace(lift_trace)
-        return "ok"
+        actual = "ok"
     except TrivialInput:
-        return "TrivialInput"
+        actual = "TrivialInput"
     except NotPrimitive:
-        return "NotPrimitive"
+        actual = "NotPrimitive"
     except StageFailure as failure:
-        return f"StageFailure:{failure.stage}"
-
-
-def _reduction_cross_checks(eq: QuarticEquation, bound: int, threads: int) -> tuple[dict, ...]:
-    """Re-run the search with trivial solutions included and check that the
-    reduction maps accept or reject each one exactly as their domains say."""
-    expected_of = (
-        _expected_biquadratic_behavior if eq.id == "E2" else _expected_symmetric_behavior
-    )
-    trivial_report = search_quartic(
-        eq, bound, require_coprime=True, include_trivial=True, threads=threads
-    )
-    checks = []
-    for x, y, z in trivial_report.solutions:
-        expected = expected_of(x, y, z)
-        actual = _actual_reduction_behavior(eq.id, x, y, z)
-        checks.append(
-            {
-                "solution": [x, y, z],
-                "expected": expected,
-                "actual": actual,
-                "ok": expected == actual,
-            }
-        )
-    return tuple(checks)
+        actual = f"StageFailure:{failure.stage}"
+    return {"solution": [x, y, z], "expected": expected, "actual": actual, "ok": expected == actual}
 
 
 def _quartic_outcome(
     eq: QuarticEquation, bound: int, include_trivial: bool, threads: int
 ) -> VerifyOutcome:
+    # E2 and E4 are scanned once with trivial solutions listed: the
+    # cross-checks need them, and the report drops them afterwards.
+    checked = eq.id in ("E2", "E4")
     report = search_quartic(
-        eq, bound, require_coprime=True, include_trivial=include_trivial, threads=threads
+        eq, bound, require_coprime=True, include_trivial=include_trivial or checked, threads=threads
     )
     cross_checks: tuple[dict, ...] = ()
-    if eq.id in ("E2", "E4"):
-        cross_checks = _reduction_cross_checks(eq, bound, threads)
+    if checked:
+        cross_checks = tuple(_cross_check(eq.id, *sol) for sol in report.solutions)
+        if not include_trivial:
+            nontrivial = tuple(
+                sol for sol in report.solutions if not classify_trivial(eq, quartic_solution(eq, *sol))
+            )
+            report = replace(report, include_trivial=False, solutions=nontrivial)
     consistent = not report.solutions and all(check["ok"] for check in cross_checks)
     return VerifyOutcome(
         target_id=eq.id,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from descent_forge.core_arith import (
     TRIAL_PRIMALITY_LIMIT,
     coprime_split,
+    factorize,
     gcd,
     is_prime,
     isqrt_exact,
@@ -127,6 +128,35 @@ def test_nu_matches_factorization_oracle_up_to_1e5():
     primes = [p for p in range(2, 101) if spf[p] == p]
     for a in (2, 30, 64, 97, 100):
         assert nu(a) == sum(nu_p(p, a) for p in primes if p <= a)
+
+
+def test_factorize_nu_and_is_prime_match_brute_force_up_to_2000():
+    def divides_none(p: int, candidates: range) -> bool:
+        return all(p % d for d in candidates)
+
+    for n in range(1, 2001):
+        pairs = factorize(n)
+        primes = [p for p, _ in pairs]
+        assert primes == sorted(set(primes))
+        assert math.prod(p**e for p, e in pairs) == n
+        for p, e in pairs:
+            assert e >= 1 and p >= 2 and divides_none(p, range(2, math.isqrt(p) + 1))
+        assert factorize(-n) == pairs
+
+        count, rest, d = 0, n, 2
+        while rest > 1:
+            if rest % d == 0:
+                rest //= d
+                count += 1
+            else:
+                d += 1
+        assert nu(n) == count
+        assert is_prime(n) == (n >= 2 and divides_none(n, range(2, n)))
+
+
+def test_factorize_rejects_zero():
+    with pytest.raises(UndefinedValuation):
+        factorize(0)
 
 
 @pytest.mark.parametrize("a,expected", [(49, 7), (8, None), (0, 0), (1, 1), (-4, None)])

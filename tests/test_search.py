@@ -6,12 +6,17 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from descent_forge import search
 from descent_forge.core_arith import isqrt_exact
 from descent_forge.equations import (
     R1,
     R2,
     QuarticEquation,
+    ResolventSystem,
+    check_resolvent,
     equation_by_id,
     list_catalog,
 )
@@ -19,8 +24,9 @@ from descent_forge.errors import BoundExceeded
 from descent_forge.search import (
     VERDICT_CONSISTENT,
     VERDICT_COUNTEREXAMPLE,
+    _cross_check,
     _quartic_outcome,
-    _unitary_divisor_pairs,
+    _unitary_splits,
     all_consistent,
     search_quartic,
     search_resolvent,
@@ -102,14 +108,98 @@ def test_resolvent_scan_trivial_solutions():
 
 
 def test_unitary_divisor_pairs():
-    assert _unitary_divisor_pairs(1) == [(1, 1)]
-    assert _unitary_divisor_pairs(12) == [(1, 12), (3, 4), (4, 3), (12, 1)]
+    assert _unitary_splits(1) == ((1, 1),)
+    assert _unitary_splits(12) == ((1, 12), (3, 4), (4, 3), (12, 1))
     for n in range(1, 201):
-        pairs = _unitary_divisor_pairs(n)
-        brute = sorted(
+        pairs = _unitary_splits(n)
+        brute = tuple(
             (d, n // d) for d in range(1, n + 1) if n % d == 0 and math.gcd(d, n // d) == 1
         )
         assert pairs == brute
+
+
+def _resolvent_oracle(system, bound):
+    """Canonical solutions and total orbit size of a resolvent scan, by brute force.
+
+    The primed side runs over every divisor xp of x*y, not only the
+    unitary ones, with yp = x*y // xp; when x*y = 0 it runs over every
+    (xp, 0) and (0, yp) up to 2*bound. check_resolvent alone decides, and
+    an orbit is every sign pattern of a solution that check_resolvent accepts.
+    """
+    solutions, orbits = [], 0
+    for x in range(bound + 1):
+        for y in range(bound + 1):
+            n = x * y
+            if n:
+                primed = [(xp, n // xp) for xp in range(1, n + 1) if n % xp == 0]
+            else:
+                primed = [(v, 0) for v in range(2 * bound + 1)]
+                primed += [(0, v) for v in range(1, 2 * bound + 1)]
+            for xp, yp in primed:
+                quad = (x, y, xp, yp)
+                if not check_resolvent(system, *quad):
+                    continue
+                solutions.append(quad)
+                orbit = set()
+                for signs in product((1, -1), repeat=4):
+                    signed = tuple(sign * value for sign, value in zip(signs, quad))
+                    if check_resolvent(system, *signed):
+                        orbit.add(signed)
+                orbits += len(orbit)
+    return solutions, orbits
+
+
+# R1 and R2 have only trivial solutions, so three synthetic systems with
+# nontrivial ones pin the candidate generator too: T1 has (x, y, y, x),
+# T2 has (6, 1, 2, 3) and T3 has (4, 15, 5, 12), which need partial
+# unitary splits of x and of y.
+_SYNTHETIC = (
+    ResolventSystem("T1", 1, 1, 1, 1),
+    ResolventSystem("T2", 1, 3, 3, 3),
+    ResolventSystem("T3", 2, 2, 2, 3),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(bound=st.integers(1, 40), include_trivial=st.booleans())
+def test_resolvent_scan_matches_divisor_oracle(bound, include_trivial):
+    for system in (R1, R2, *_SYNTHETIC):
+        solutions, orbits = _resolvent_oracle(system, bound)
+        if not include_trivial:
+            solutions = [quad for quad in solutions if quad[0] * quad[1] != 0]
+        report = search_resolvent(system, bound, include_trivial=include_trivial)
+        assert report.solutions == tuple(sorted(solutions))
+        assert report.orbit_count == orbits
+
+
+@pytest.mark.parametrize("eq_id", ["E2", "E4"])
+def test_quartic_outcome_scans_once_and_matches_two_scans(eq_id, monkeypatch):
+    eq = equation_by_id(eq_id)
+    # The construction verify_table used before: one scan for the report,
+    # a second, trivial-inclusive one for the cross-checks.
+    report = search_quartic(eq, 200, include_trivial=False, threads=1)
+    listed = search_quartic(eq, 200, include_trivial=True, threads=1)
+    assert report.partitions == 2
+    cross_checks = [_cross_check(eq_id, *sol) for sol in listed.solutions]
+    assert cross_checks
+    consistent = not report.solutions and all(check["ok"] for check in cross_checks)
+    expected = {
+        "target": eq_id,
+        "report": report.to_dict(),
+        "verdict": VERDICT_CONSISTENT if consistent else VERDICT_COUNTEREXAMPLE,
+        "cross_checks": cross_checks,
+    }
+
+    calls = []
+    original = search.search_quartic
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(search, "search_quartic", counting)
+    assert _quartic_outcome(eq, 200, False, 1).to_dict() == expected
+    assert len(calls) == 1
 
 
 def test_reports_are_identical_across_partitionings_and_threads():
