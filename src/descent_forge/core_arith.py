@@ -4,7 +4,9 @@ Everything operates on Python's arbitrary-precision integers and raises
 instead of guessing when an operation is undefined (gcd of two zeros,
 valuation of zero, and so on). factorize is the one trial-division
 routine: primality, factor counting and every prime list elsewhere in the
-package come from it. Slow past desk scale, exact everywhere.
+package come from it. The one exception is nu_p's primality check above
+10^6, a Miller-Rabin test over a base set proven exact in its range.
+Slow past desk scale, exact everywhere.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
+    BoundExceeded,
     DegenerateInput,
     InternalInvariantBroken,
     InvalidGenerators,
@@ -26,8 +29,13 @@ from .errors import (
 )
 
 # Primality of nu_p's first argument is verified by trial division up to
-# this limit; larger arguments are accepted on the caller's word.
+# TRIAL_PRIMALITY_LIMIT and by Miller-Rabin with the first 13 primes as
+# bases below MILLER_RABIN_LIMIT, the least strong pseudoprime to all of
+# them (Sorenson and Webster, 2015), so that test is exact there. Larger
+# arguments are refused.
 TRIAL_PRIMALITY_LIMIT = 10**6
+MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def gcd(a: int, b: int) -> int:
@@ -65,15 +73,40 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == [(n, 1)]
 
 
+def _is_strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin for odd n > 41 with the fixed bases; exact below MILLER_RABIN_LIMIT."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for base in _MILLER_RABIN_BASES:
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def nu_p(p: int, a: int) -> int:
     """Exponent of the prime p in a, i.e. the p-adic valuation of |a|.
 
-    Raises NotPrime when p is not prime (checked by trial division for
-    p <= TRIAL_PRIMALITY_LIMIT) and UndefinedValuation when a = 0.
+    Raises NotPrime when p is not prime (trial division up to
+    TRIAL_PRIMALITY_LIMIT, deterministic Miller-Rabin above it),
+    BoundExceeded when p >= MILLER_RABIN_LIMIT, where no exact test is
+    available, and UndefinedValuation when a = 0.
     """
-    if p < 2:
-        raise NotPrime(f"{p} is not prime")
-    if p <= TRIAL_PRIMALITY_LIMIT and not is_prime(p):
+    if p >= MILLER_RABIN_LIMIT:
+        raise BoundExceeded(f"cannot certify primality of p >= {MILLER_RABIN_LIMIT}")
+    if p <= TRIAL_PRIMALITY_LIMIT:
+        prime = is_prime(p)
+    else:
+        prime = p % 2 == 1 and _is_strong_probable_prime(p)
+    if not prime:
         raise NotPrime(f"{p} is not prime")
     if a == 0:
         raise UndefinedValuation("nu_p(p, 0) is undefined")

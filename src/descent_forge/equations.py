@@ -206,8 +206,8 @@ def quartic_solution(eq: QuarticEquation, x: int, y: int, z: int) -> QuarticSolu
     return QuarticSolution(x, y, z, primitive, trivial)
 
 
-def classify_trivial(eq: QuarticEquation, sol: QuarticSolution) -> bool:
-    """True when sol is trivial for eq: x*y = 0 or |x| = |y|."""
+def classify_trivial(sol: QuarticSolution) -> bool:
+    """True when sol is trivial: x*y = 0 or |x| = |y|."""
     return sol.x * sol.y == 0 or abs(sol.x) == abs(sol.y)
 
 

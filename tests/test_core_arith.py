@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descent_forge.core_arith import (
+    MILLER_RABIN_LIMIT,
     TRIAL_PRIMALITY_LIMIT,
+    _is_strong_probable_prime,
     coprime_split,
     factorize,
     gcd,
@@ -21,6 +23,7 @@ from descent_forge.core_arith import (
     pythagorean_decompose,
 )
 from descent_forge.errors import (
+    BoundExceeded,
     DegenerateInput,
     InvalidGenerators,
     NotATriple,
@@ -84,12 +87,33 @@ def test_nu_p_rejects_composite_or_small(p):
         nu_p(p, 10)
 
 
-def test_nu_p_trusts_caller_above_primality_limit():
-    # 10^6 + 1 = 101 * 9901 is composite but sits above the trial-division
-    # limit, so it is accepted on the caller's word.
-    composite = TRIAL_PRIMALITY_LIMIT + 1
-    assert not is_prime(composite) or True  # sanity of the chosen constant
-    assert nu_p(composite, composite) == 1
+def test_nu_p_checks_primality_above_trial_limit():
+    # 10^6 + 1 = 101 * 9901 is the first composite past trial division.
+    assert not is_prime(TRIAL_PRIMALITY_LIMIT + 1)
+    with pytest.raises(NotPrime):
+        nu_p(TRIAL_PRIMALITY_LIMIT + 1, 10)
+    assert nu_p(1_000_003, 1_000_003**2) == 2
+    assert nu_p(1_000_003, 7) == 0
+    # The least strong pseudoprime to the bases 2..23; bases 29..41 expose it.
+    with pytest.raises(NotPrime):
+        nu_p(3825123056546413051, 3825123056546413051)
+    # 2^61 - 1 is prime and far past trial division.
+    assert nu_p(2**61 - 1, 2 * (2**61 - 1)) == 1
+
+
+def test_nu_p_refuses_primes_past_the_miller_rabin_range():
+    # 2^89 - 1 is a Mersenne prime above the limit, where the fixed bases
+    # no longer decide primality.
+    assert 2**89 - 1 > MILLER_RABIN_LIMIT
+    with pytest.raises(BoundExceeded):
+        nu_p(2**89 - 1, 5)
+    with pytest.raises(BoundExceeded):
+        nu_p(MILLER_RABIN_LIMIT, 5)
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    for n in range(43, 20000, 2):
+        assert _is_strong_probable_prime(n) == is_prime(n)
 
 
 @pytest.mark.parametrize("a,expected", [(12, 3), (1, 0), (-1, 0), (-6, 2), (2**10, 10), (97, 1)])

@@ -165,7 +165,7 @@ def test_classify_trivial_examples(eq_id, point, expected):
         # 16 + 4 = 20 is not a perfect square, so no solution exists to classify.
         assert eval_quartic(equation_by_id("E2"), 2, 1) == []
         return
-    assert classify_trivial(eq, quartic_solution(eq, x, y, z)) is expected
+    assert classify_trivial(quartic_solution(eq, x, y, z)) is expected
 
 
 def test_classify_trivial_is_sign_and_swap_invariant():
@@ -175,13 +175,13 @@ def test_classify_trivial_is_sign_and_swap_invariant():
         eq = entry.equation
         for x, y in product(range(9), repeat=2):
             for sol in eval_quartic(eq, x, y):
-                base = classify_trivial(eq, sol)
+                base = classify_trivial(sol)
                 for sx, sy, sz in product((1, -1), repeat=3):
                     flipped = quartic_solution(eq, sx * sol.x, sy * sol.y, sz * sol.z)
-                    assert classify_trivial(eq, flipped) is base
+                    assert classify_trivial(flipped) is base
                 if eq.a == eq.c:
                     swapped = quartic_solution(eq, sol.y, sol.x, sol.z)
-                    assert classify_trivial(eq, swapped) is base
+                    assert classify_trivial(swapped) is base
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import math
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from descent_forge import search
@@ -18,14 +18,17 @@ from descent_forge.equations import (
     ResolventSystem,
     check_resolvent,
     equation_by_id,
+    eval_quartic,
     list_catalog,
 )
 from descent_forge.errors import BoundExceeded
 from descent_forge.search import (
     VERDICT_CONSISTENT,
     VERDICT_COUNTEREXAMPLE,
+    _admissible_residues,
     _cross_check,
     _quartic_outcome,
+    _square_flags,
     _unitary_splits,
     all_consistent,
     search_quartic,
@@ -170,6 +173,127 @@ def test_resolvent_scan_matches_divisor_oracle(bound, include_trivial):
         report = search_resolvent(system, bound, include_trivial=include_trivial)
         assert report.solutions == tuple(sorted(solutions))
         assert report.orbit_count == orbits
+
+
+def _quartic_oracle(eq, bound, require_coprime):
+    """(solution, trivial) pairs and total orbit size of a quartic scan, by brute force.
+
+    Every cell of 0..bound is tried: the root comes from math.isqrt and
+    eq.is_solution alone decides, so neither the residue sieve nor
+    eval_quartic is involved. An orbit is every sign pattern of a
+    solution that eq.is_solution accepts.
+    """
+    solutions, orbits = [], 0
+    for x in range(bound + 1):
+        for y in range(bound + 1):
+            if require_coprime and math.gcd(x, y) != 1:
+                continue
+            lhs = eq.lhs(x, y)
+            if lhs % eq.d or lhs // eq.d < 0:
+                continue
+            z = math.isqrt(lhs // eq.d)
+            if eq.e == 4:
+                z = math.isqrt(z)
+            if not eq.is_solution(x, y, z):
+                continue
+            solutions.append(((x, y, z), x * y == 0 or x == y))
+            orbits += len(
+                {
+                    (sx * x, sy * y, sz * z)
+                    for sx, sy, sz in product((1, -1), repeat=3)
+                    if eq.is_solution(sx * x, sy * y, sz * z)
+                }
+            )
+    return solutions, orbits
+
+
+def _assert_quartic_scan_matches_oracle(eq, bound, require_coprime, include_trivial):
+    solutions, orbits = _quartic_oracle(eq, bound, require_coprime)
+    listed = sorted(sol for sol, trivial in solutions if include_trivial or not trivial)
+    report = search_quartic(
+        eq, bound, require_coprime=require_coprime, include_trivial=include_trivial
+    )
+    assert report.solutions == tuple(listed), eq
+    assert report.orbit_count == orbits, eq
+
+
+@settings(max_examples=10, deadline=None)
+@given(bound=st.integers(1, 70), require_coprime=st.booleans(), include_trivial=st.booleans())
+def test_quartic_scan_matches_grid_oracle_on_the_catalog(bound, require_coprime, include_trivial):
+    for entry in list_catalog():
+        _assert_quartic_scan_matches_oracle(entry.equation, bound, require_coprime, include_trivial)
+
+
+_SIGNED_A = st.integers(1, 6).flatmap(lambda v: st.sampled_from((v, -v)))
+
+
+@st.composite
+def _synthetic_scans(draw):
+    """(equation, bound) with coefficients from small ranges. Half the
+    draws take d from a fixed set; the other half set d so that a
+    nontrivial (x0, y0, 1) inside the bound is a solution, in whatever
+    residue class (x0, y0) falls."""
+    a, b, c = draw(_SIGNED_A), draw(st.integers(-12, 12)), draw(st.integers(-6, 6))
+    bound = draw(st.integers(1, 70))
+    if draw(st.booleans()):
+        d = draw(st.sampled_from((1, -1, 2, -2, 3, 4, 5, 8, 16, 64, 128)))
+    else:
+        x0, y0 = draw(st.integers(1, bound)), draw(st.integers(1, bound))
+        d = a * x0**4 + b * x0 * x0 * y0 * y0 + c * y0**4
+        assume(d != 0)
+    return QuarticEquation("S", a, b, c, d, draw(st.sampled_from((2, 4)))), bound
+
+
+# Every cell of (x^2 + y^2)^2 = z^2 and of -(x^2 - y^2)^2 = -z^2 is a
+# solution, and every cell with x and y of equal parity is one of
+# 2(x^2 - y^2)^2 = 8z^2, so at bound 70 these catch a sieve that drops any
+# residue class mod 64.
+@example(scan=(QuarticEquation("D1", 1, 2, 1, 1, 2), 70), require_coprime=True, include_trivial=False)
+@example(scan=(QuarticEquation("D2", -1, 2, -1, -1, 2), 70), require_coprime=False, include_trivial=True)
+@example(scan=(QuarticEquation("D3", 2, -4, 2, 8, 2), 70), require_coprime=False, include_trivial=False)
+@settings(max_examples=150, deadline=None)
+@given(
+    scan=_synthetic_scans(),
+    require_coprime=st.booleans(),
+    include_trivial=st.booleans(),
+)
+def test_quartic_scan_matches_grid_oracle_on_synthetic_equations(scan, require_coprime, include_trivial):
+    eq, bound = scan
+    _assert_quartic_scan_matches_oracle(eq, bound, require_coprime, include_trivial)
+
+
+# Synthetic equations with many solutions off the diagonal: negative d,
+# d = 8 and one e = 4 case.
+_SIEVE_PROBES = (
+    QuarticEquation("S1", -1, -5, 0, -1, 2),
+    QuarticEquation("S2", -2, 2, -3, -3, 2),
+    QuarticEquation("S3", -1, 6, 0, 8, 2),
+    QuarticEquation("S4", -1, 2, -1, -1, 2),
+    QuarticEquation("S5", 1, -2, 1, 1, 4),
+)
+
+
+def test_residue_table_admits_every_solution_below_192():
+    for eq in (*(entry.equation for entry in list_catalog()), *_SIEVE_PROBES):
+        table = _admissible_residues(eq.a, eq.b, eq.c, eq.d)
+        assert len(table) == 64
+        hits = 0
+        for x, y in product(range(192), repeat=2):
+            if eval_quartic(eq, x, y):
+                hits += 1
+                assert y % 64 in table[x % 64], (eq, x, y)
+        assert hits, eq
+    # Off-diagonal classes are exercised, not only x*y = 0 and x = y.
+    assert any(
+        eval_quartic(_SIEVE_PROBES[0], x, y) for x, y in product(range(1, 64), repeat=2) if x != y
+    )
+
+
+@pytest.mark.parametrize("modulus", [64, 63, 65, 11])
+def test_square_flag_tables_match_brute_force(modulus):
+    flags = _square_flags(modulus)
+    assert len(flags) == modulus
+    assert {i for i in range(modulus) if flags[i]} == {r * r % modulus for r in range(modulus)}
 
 
 @pytest.mark.parametrize("eq_id", ["E2", "E4"])
