@@ -33,14 +33,11 @@ from .equations import (
 from .errors import (
     BoundExceeded,
     InternalInvariantBroken,
-    NotAResolventSolution,
     NotASolution,
-    NotATriple,
-    NotPrimitive,
-    ParityError,
     StageFailure,
     TrivialInput,
     UnsupportedResolvent,
+    stage,
 )
 
 MODULUS_LIMIT = 10**4
@@ -108,7 +105,8 @@ def residue_obstruction(system: ResolventSystem, modulus: int) -> ObstructionRep
     primes = [prime for prime, _ in factorize(modulus)]
 
     # Group pairs by (quadratic value, product) mod the analysis modulus;
-    # a survivor is a left pair and a right pair in the same group.
+    # a survivor is a left pair and a right pair in the same group. Both
+    # sides range over the same pair classes, so one enumeration serves both.
     left: dict[tuple[int, int], list[int]] = {}
     right: dict[tuple[int, int], int] = {}
     for x in range(deep):
@@ -116,14 +114,10 @@ def residue_obstruction(system: ResolventSystem, modulus: int) -> ObstructionRep
         for y in range(deep):
             if any(y % q == 0 for q in x_zero):
                 continue
-            left_key = ((system.m * x * x + system.n * y * y) % deep, (x * y) % deep)
-            left.setdefault(left_key, []).append((x * y) % modulus)
-    for xp in range(deep):
-        xp_zero = [q for q in primes if xp % q == 0]
-        for yp in range(deep):
-            if any(yp % q == 0 for q in xp_zero):
-                continue
-            right_key = ((system.k * xp * xp + system.l * yp * yp) % deep, (xp * yp) % deep)
+            product = x * y % deep
+            left_key = ((system.m * x * x + system.n * y * y) % deep, product)
+            left.setdefault(left_key, []).append(x * y % modulus)
+            right_key = ((system.k * x * x + system.l * y * y) % deep, product)
             right[right_key] = right.get(right_key, 0) + 1
 
     surviving: set[int] = set()
@@ -273,18 +267,10 @@ def inner_triples_stage(
     and (s0p, t0p) with p = s0p^2 + t0p^2, s = 2*s0p*t0p from the
     difference form.
     """
-    try:
+    with stage(STAGE_INNER_TRIPLES, {"p": p, "s": s, "q": q}):
         s0, t0 = pythagorean_decompose(p, s, q)
-    except (NotATriple, NotPrimitive, ParityError) as exc:
-        raise StageFailure(
-            STAGE_INNER_TRIPLES, {"p": p, "s": s, "q": q, "reason": str(exc)}
-        ) from exc
-    try:
+    with stage(STAGE_INNER_TRIPLES, {"r": r, "s": s, "p": p}):
         s0p, t0p = pythagorean_decompose(r, s, p)
-    except (NotATriple, NotPrimitive, ParityError) as exc:
-        raise StageFailure(
-            STAGE_INNER_TRIPLES, {"r": r, "s": s, "p": p, "reason": str(exc)}
-        ) from exc
     return (s0, t0), (s0p, t0p)
 
 
@@ -311,12 +297,8 @@ def descent_step(
     sum_difference_stage(p, q, r, s)
     (s0, t0), (s0p, t0p) = inner_triples_stage(p, q, r, s)
 
-    try:
+    with stage(STAGE_ASSEMBLE, {"s0": s0, "t0": t0, "s0p": s0p, "t0p": t0p}):
         output = resolvent_solution(R1, s0, t0, s0p, t0p)
-    except NotAResolventSolution as exc:
-        raise StageFailure(
-            STAGE_ASSEMBLE, {"s0": s0, "t0": t0, "s0p": s0p, "t0p": t0p}
-        ) from exc
     step = DescentStep(
         input=source,
         split=(p, q, r, s),
@@ -336,38 +318,28 @@ def descent_chain(
 
     Terminals: TrivialInput (the input itself was trivial),
     NonSolutionInput, TrivialReached (a step emitted a trivial solution)
-    and StageFailure. The chain is capped at nu(x*y) + 1 steps; exceeding
-    the cap would contradict strict descent and raises
-    InternalInvariantBroken.
+    and StageFailure. descent_step validates every input, and each step
+    checks that its output satisfies R1, so only the chain's own input can
+    be rejected. The chain is capped at nu(x*y) + 1 steps; exceeding the
+    cap would contradict strict descent and raises InternalInvariantBroken.
     """
-    if system.id != R1.id:
-        raise UnsupportedResolvent(f"descent only supports R1, got {system.id}")
     trace = DescentTrace(source=(x, y, xp, yp))
-    if not check_resolvent(system, x, y, xp, yp):
-        trace.terminal = DescentTerminal(
-            TERMINAL_NON_SOLUTION, values={"input": [x, y, xp, yp]}
-        )
-        return trace
-    if x * y == 0:
-        trace.terminal = DescentTerminal(
-            TERMINAL_TRIVIAL_INPUT, values={"input": [x, y, xp, yp]}
-        )
-        return trace
-
-    cap = nu(x * y) + 1
-    current = (abs(x), abs(y), abs(xp), abs(yp))
+    current = trace.source
     while True:
-        if len(trace.steps) >= cap:
-            raise InternalInvariantBroken(
-                f"descent exceeded {cap} steps from {trace.source}"
-            )
         try:
             step = descent_step(*current, system=system)
+        except (NotASolution, TrivialInput) as rejected:
+            non_solution = isinstance(rejected, NotASolution)
+            kind = TERMINAL_NON_SOLUTION if non_solution else TERMINAL_TRIVIAL_INPUT
+            trace.terminal = DescentTerminal(kind, values={"input": [x, y, xp, yp]})
+            return trace
         except StageFailure as failure:
             trace.terminal = DescentTerminal(
                 TERMINAL_STAGE_FAILURE, stage=failure.stage, values=failure.values
             )
             return trace
+        if not trace.steps:
+            cap = nu(x * y) + 1
         trace.steps.append(step)
         if step.output.trivial:
             trace.terminal = DescentTerminal(
@@ -375,4 +347,8 @@ def descent_chain(
                 values={"output": list(step.output.as_tuple())},
             )
             return trace
+        if len(trace.steps) >= cap:
+            raise InternalInvariantBroken(
+                f"descent exceeded {cap} steps from {trace.source}"
+            )
         current = step.output.as_tuple()

@@ -5,10 +5,16 @@ reason instead of parsing messages. StageFailure is the load-bearing one:
 it carries the stage label and the witnessing values whenever a deduction
 that should be impossible on a genuine solution fails to go through.
 Callers are expected to surface it as a finding, not swallow it.
+
+stage is the one StageFailure policy for the reduction and descent
+pipelines: it decides which rejections inside a deduction stage count as
+a failed deduction and what the resulting StageFailure reports.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from typing import Any
 
 
@@ -87,3 +93,18 @@ class StageFailure(DescentForgeError):
         self.values = dict(values)
         detail = ", ".join(f"{key}={value}" for key, value in sorted(self.values.items()))
         super().__init__(f"stage {stage} failed ({detail})")
+
+
+@contextmanager
+def stage(name: str, values: dict[str, Any]) -> Iterator[None]:
+    """Run a deduction stage, turning a rejected triple or solution record
+    into StageFailure(name, values plus "reason").
+
+    The rejections converted are NotATriple, NotPrimitive, ParityError,
+    NotASolution and NotAResolventSolution; the original exception becomes
+    the failure's __cause__. Every other exception passes through.
+    """
+    try:
+        yield
+    except (NotATriple, NotPrimitive, ParityError, NotASolution, NotAResolventSolution) as exc:
+        raise StageFailure(name, {**values, "reason": str(exc)}) from exc

@@ -33,11 +33,10 @@ from .errors import (
     InternalInvariantBroken,
     NotAResolventSolution,
     NotASolution,
-    NotATriple,
     NotPrimitive,
-    ParityError,
     StageFailure,
     TrivialInput,
+    stage,
 )
 
 STAGE_TRIPLE_DECOMPOSE = "TripleDecompose"
@@ -140,13 +139,10 @@ def _forward_stages(
     )
 
     a, b = x * x, 2 * y * y
-    try:
+    triple = {"a": a, "b": b, "c": z}
+    with stage(STAGE_TRIPLE_DECOMPOSE, triple):
         u, v = pythagorean_decompose(a, b, z)
-    except (NotATriple, NotPrimitive, ParityError) as exc:
-        raise StageFailure(
-            STAGE_TRIPLE_DECOMPOSE, {"a": a, "b": b, "c": z, "reason": str(exc)}
-        ) from exc
-    trace.add(STAGE_TRIPLE_DECOMPOSE, {"a": a, "b": b, "c": z}, {"u": u, "v": v})
+    trace.add(STAGE_TRIPLE_DECOMPOSE, triple, {"u": u, "v": v})
 
     # u*v = y^2 with gcd(u, v) = 1, so each factor is a perfect square.
     s = isqrt_exact(u)
@@ -176,30 +172,18 @@ def _forward_stages(
 
     # alpha^2 = s^2 + t^2 and beta^2 = s^2 - t^2 are primitive triples
     # sharing the legs; their generator pairs are the output.
-    try:
+    legs = {"s": s, "t": t, "alpha": alpha, "beta": beta}
+    with stage(STAGE_TWIN_TRIPLE_DECOMPOSE, legs):
         lam, gam = pythagorean_decompose(s, t, alpha)
         lam_p, gam_p = pythagorean_decompose(beta, t, s)
-    except (NotATriple, NotPrimitive, ParityError) as exc:
-        raise StageFailure(
-            STAGE_TWIN_TRIPLE_DECOMPOSE,
-            {"s": s, "t": t, "alpha": alpha, "beta": beta, "reason": str(exc)},
-        ) from exc
-    trace.add(
-        STAGE_TWIN_TRIPLE_DECOMPOSE,
-        {"s": s, "t": t, "alpha": alpha, "beta": beta},
-        {"lam": lam, "gam": gam, "lam_p": lam_p, "gam_p": gam_p},
-    )
+    generators = {"lam": lam, "gam": gam, "lam_p": lam_p, "gam_p": gam_p}
+    trace.add(STAGE_TWIN_TRIPLE_DECOMPOSE, legs, generators)
 
-    try:
+    with stage(STAGE_ASSEMBLE, generators):
         result = resolvent_solution(R1, lam, gam, lam_p, gam_p)
-    except NotAResolventSolution as exc:
-        raise StageFailure(
-            STAGE_ASSEMBLE,
-            {"lam": lam, "gam": gam, "lam_p": lam_p, "gam_p": gam_p},
-        ) from exc
     trace.add(
         STAGE_ASSEMBLE,
-        {"lam": lam, "gam": gam, "lam_p": lam_p, "gam_p": gam_p},
+        generators,
         {"x": result.x, "y": result.y, "xp": result.xp, "yp": result.yp},
     )
     trace.final = result
@@ -243,17 +227,10 @@ def backward_lift_biquadratic(
     out_x = psi * phi
     out_y = abs(big_t * big_s)
     out_z = big_t**4 + big_s**4
-    try:
+    roots = {"psi": psi, "phi": phi, "T": big_t, "S": big_s}
+    with stage(STAGE_ASSEMBLE, roots):
         result = quartic_solution(equation_by_id("E2"), out_x, out_y, out_z)
-    except NotASolution as exc:
-        raise StageFailure(
-            STAGE_ASSEMBLE, {"psi": psi, "phi": phi, "T": big_t, "S": big_s}
-        ) from exc
-    trace.add(
-        STAGE_ASSEMBLE,
-        {"psi": psi, "phi": phi, "T": big_t, "S": big_s},
-        {"x": out_x, "y": out_y, "z": out_z},
-    )
+    trace.add(STAGE_ASSEMBLE, roots, {"x": out_x, "y": out_y, "z": out_z})
     trace.final = result
     return result, trace
 
@@ -277,33 +254,22 @@ def sextic_to_resolvent(x: int, y: int, z: int) -> tuple[ResolventSolution, Redu
 
     t = x * x + y * y
     s = 2 * x * y
-    try:
+    # A ParityError (t even) would need x, y both odd, which the equation
+    # excludes: the left side is then 8 mod 16, never a square.
+    with stage(STAGE_TRIPLE_DECOMPOSE, {"t": t, "s": s, "z": z}):
         u, v = pythagorean_decompose(t, s, z)
-    except ParityError as exc:
-        # t even would need x, y both odd, which the equation excludes
-        # (the left side is then 8 mod 16, never a square); kept as an
-        # auditable failure rather than dead code.
-        raise StageFailure(
-            STAGE_TRIPLE_DECOMPOSE,
-            {"t": t, "s": s, "z": z, "reason": "parity"},
-        ) from exc
-    except (NotATriple, NotPrimitive) as exc:
-        raise StageFailure(
-            STAGE_TRIPLE_DECOMPOSE, {"t": t, "s": s, "z": z, "reason": str(exc)}
-        ) from exc
     trace.add(
         STAGE_TRIPLE_DECOMPOSE,
         {"t": t, "s": s, "z": z, "x": x, "y": y},
         {"u": u, "v": v},
     )
 
-    try:
+    parts = {"u": u, "v": v, "x": x, "y": y}
+    with stage(STAGE_ASSEMBLE, parts):
         result = resolvent_solution(R1, u, v, x, y)
-    except NotAResolventSolution as exc:
-        raise StageFailure(STAGE_ASSEMBLE, {"u": u, "v": v, "x": x, "y": y}) from exc
     trace.add(
         STAGE_ASSEMBLE,
-        {"u": u, "v": v, "x": x, "y": y},
+        parts,
         {"x": result.x, "y": result.y, "xp": result.xp, "yp": result.yp},
     )
     trace.final = result
@@ -335,11 +301,10 @@ def resolvent_to_sextic(
         {"D": d},
     )
 
-    try:
+    completed = {"xp": xp, "yp": yp, "D": d}
+    with stage(STAGE_ASSEMBLE, completed):
         result = quartic_solution(equation_by_id("E4"), xp, yp, d)
-    except NotASolution as exc:
-        raise StageFailure(STAGE_ASSEMBLE, {"xp": xp, "yp": yp, "D": d}) from exc
-    trace.add(STAGE_ASSEMBLE, {"xp": xp, "yp": yp, "D": d}, {"x": xp, "y": yp, "z": d})
+    trace.add(STAGE_ASSEMBLE, completed, {"x": xp, "y": yp, "z": d})
     trace.final = result
     return result, trace
 

@@ -18,12 +18,13 @@ Reports list canonical (componentwise nonnegative) representatives sorted
 lexicographically, plus the total number of signed solutions their
 orbits contain, so results are bit-stable across runs and partitionings.
 
-Both searches are a row kernel run by one shared engine, _search, which
-validates the bound, splits rows 0..bound into fixed 128-row chunks,
-merges them in chunk order and assembles the SearchReport. The
-DESCENT_FORGE_THREADS environment variable (default 1) caps how many
-chunks are processed concurrently; the chunk layout does not depend on
-it, so reports are identical at any thread count.
+Both searches validate the bound and the worker count first, through
+_scan_workers, and only then build any per-scan state. Each is a row
+kernel run by one shared engine, _search, which splits rows 0..bound
+into fixed 128-row chunks, merges them in chunk order and assembles the
+SearchReport. The DESCENT_FORGE_THREADS environment variable (default 1)
+caps how many chunks are processed concurrently; the chunk layout does
+not depend on it, so reports are identical at any thread count.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
-from itertools import product as iter_product
 
 from .core_arith import factorize
 from .equations import (
@@ -125,16 +125,21 @@ def _run_chunks(worker, chunks: list[range], threads: int):
     return [worker(chunk) for chunk in chunks]
 
 
+def _scan_workers(kind: str, bound: int, limit: int, threads: int | None) -> int:
+    """Validate a scan's bound and return its worker count."""
+    if not 1 <= bound <= limit:
+        raise BoundExceeded(f"{kind} bound {bound} outside [1, {limit}]")
+    return thread_count(threads)
+
+
 def _search(
     target_id: str,
-    kind: str,
     bound: int,
-    limit: int,
     row_kernel: Callable[[int], Iterable[tuple[tuple[int, ...], int, bool]]],
     *,
     require_coprime: bool,
     include_trivial: bool,
-    threads: int | None,
+    workers: int,
 ) -> SearchReport:
     """Shared chunk engine: run row_kernel over rows 0..bound and merge.
 
@@ -142,9 +147,6 @@ def _search(
     canonical solution in row x. Every orbit is counted; trivial solutions
     are listed only when include_trivial is set.
     """
-    if not 1 <= bound <= limit:
-        raise BoundExceeded(f"{kind} bound {bound} outside [1, {limit}]")
-    workers = thread_count(threads)
     start = time.perf_counter()
 
     def scan(rows: range) -> tuple[list[tuple[int, ...]], int]:
@@ -228,11 +230,11 @@ def search_quartic(
     mod 63, 65, 11 or 64 is dropped before the gcd; eval_quartic confirms
     the survivors exactly.
     """
+    workers = _scan_workers("quartic", bound, QUARTIC_BOUND_LIMIT, threads)
     a, b, c, d = eq.a, eq.b, eq.c, eq.d
     admissible = _admissible_residues(a, b, c, d)
     q64, q63, q65, q11 = (_square_flags(m) for m in (64, 63, 65, 11))
-    # _search refuses bounds past the limit; size nothing past it first.
-    y_squares = [y * y for y in range(min(bound, QUARTIC_BOUND_LIMIT) + 1)]
+    y_squares = [y * y for y in range(bound + 1)]
     c_y_fourths = [c * s * s for s in y_squares]
 
     def row(x: int):
@@ -258,8 +260,8 @@ def search_quartic(
                         yield sol.as_tuple(), _quartic_orbit_size(sol.x, sol.y, sol.z), sol.trivial
 
     return _search(
-        eq.id, "quartic", bound, QUARTIC_BOUND_LIMIT, row,
-        require_coprime=require_coprime, include_trivial=include_trivial, threads=threads,
+        eq.id, bound, row,
+        require_coprime=require_coprime, include_trivial=include_trivial, workers=workers,
     )
 
 
@@ -274,12 +276,10 @@ def _unitary_splits(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def _resolvent_orbit_size(quad: tuple[int, int, int, int]) -> int:
-    seen = set()
-    for signs in iter_product((1, -1), repeat=4):
-        candidate = tuple(s * v for s, v in zip(signs, quad))
-        if candidate[0] * candidate[1] == candidate[2] * candidate[3]:
-            seen.add(candidate)
-    return len(seen)
+    # Each nonzero coordinate's sign is free, except that x*y = xp*yp
+    # fixes one sign when the product is nonzero: 16 / 2 patterns.
+    x, y, _, _ = quad
+    return 8 if x * y else 2 ** sum(v != 0 for v in quad)
 
 
 def search_resolvent(
@@ -298,6 +298,7 @@ def search_resolvent(
     so x*y itself is never factored. Coprimality is part of
     solution-hood here, so there is no coprimality option.
     """
+    workers = _scan_workers("resolvent", bound, RESOLVENT_BOUND_LIMIT, threads)
     m, n, k, l = system.m, system.n, system.k, system.l
 
     def row(x: int):
@@ -326,8 +327,8 @@ def search_resolvent(
                 yield quad, _resolvent_orbit_size(quad), x * y == 0
 
     return _search(
-        system.id, "resolvent", bound, RESOLVENT_BOUND_LIMIT, row,
-        require_coprime=True, include_trivial=include_trivial, threads=threads,
+        system.id, bound, row,
+        require_coprime=True, include_trivial=include_trivial, workers=workers,
     )
 
 

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from descent_forge import descent
 from descent_forge.core_arith import coprime_split
 from descent_forge.descent import (
     STAGE_INNER_TRIPLES,
     STAGE_REARRANGE,
     STAGE_SUM_DIFFERENCE,
     TERMINAL_NON_SOLUTION,
+    TERMINAL_STAGE_FAILURE,
     TERMINAL_TRIVIAL_INPUT,
+    TERMINAL_TRIVIAL_REACHED,
     DescentStep,
     descent_chain,
     descent_step,
@@ -24,7 +27,7 @@ from descent_forge.descent import (
     split_stage,
     sum_difference_stage,
 )
-from descent_forge.equations import R1, R2, ResolventSolution, resolvent_solution
+from descent_forge.equations import R1, R2, ResolventSolution, ResolventSystem, resolvent_solution
 from descent_forge.errors import (
     BoundExceeded,
     InternalInvariantBroken,
@@ -279,3 +282,63 @@ def test_descent_chain_terminates_on_every_searched_solution():
         trace = descent_chain(*quad)
         assert trace.terminal.kind == TERMINAL_TRIVIAL_INPUT
         assert trace.steps == []
+
+
+# R1 has no nontrivial point, so the chain's step-driven paths run on a
+# stand-in system that carries R1's id and has one, with descent_step
+# replaced by a scripted fake.
+_STAND_IN = ResolventSystem("R1", 1, 1, 1, 1)
+_STAND_IN_POINT = (2, 3, 3, 2)
+
+
+def _scripted_steps(monkeypatch, outputs):
+    """Make descent.descent_step emit steps with the given outputs in turn."""
+    calls = []
+
+    def fake_step(x, y, xp, yp, system):
+        calls.append((x, y, xp, yp))
+        output = outputs[min(len(calls), len(outputs)) - 1]
+        return DescentStep(
+            input=ResolventSolution("R1", x, y, xp, yp, trivial=False),
+            split=(1, 1, 1, 1),
+            inner_solutions=((1, 0), (1, 0)),
+            output=ResolventSolution("R1", *output, trivial=output[0] * output[1] == 0),
+            nu_in=2,
+            nu_out=1,
+        )
+
+    monkeypatch.setattr(descent, "descent_step", fake_step)
+    return calls
+
+
+def test_descent_chain_stage_failure_terminal(monkeypatch):
+    def failing_step(x, y, xp, yp, system):
+        raise StageFailure(STAGE_INNER_TRIPLES, {"p": 3, "s": 4, "reason": "not a triple"})
+
+    monkeypatch.setattr(descent, "descent_step", failing_step)
+    trace = descent_chain(*_STAND_IN_POINT, system=_STAND_IN)
+    assert trace.steps == []
+    assert trace.to_dict()["terminal"] == {
+        "kind": TERMINAL_STAGE_FAILURE,
+        "stage": STAGE_INNER_TRIPLES,
+        "values": {"p": 3, "s": 4, "reason": "not a triple"},
+    }
+
+
+def test_descent_chain_trivial_reached_terminal(monkeypatch):
+    calls = _scripted_steps(monkeypatch, [(3, 2, 2, 3), (1, 0, 1, 0)])
+    trace = descent_chain(*_STAND_IN_POINT, system=_STAND_IN)
+    assert calls == [_STAND_IN_POINT, (3, 2, 2, 3)]
+    assert len(trace.steps) == 2
+    assert trace.to_dict()["terminal"] == {
+        "kind": TERMINAL_TRIVIAL_REACHED,
+        "values": {"output": [1, 0, 1, 0]},
+    }
+
+
+def test_descent_chain_step_cap_raises(monkeypatch):
+    calls = _scripted_steps(monkeypatch, [(3, 2, 2, 3)])
+    # nu(2 * 3) + 1 = 3 steps are allowed; a chain that never ends is a bug.
+    with pytest.raises(InternalInvariantBroken, match="exceeded 3 steps"):
+        descent_chain(*_STAND_IN_POINT, system=_STAND_IN)
+    assert len(calls) == 3

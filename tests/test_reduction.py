@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from descent_forge import reduction
 from descent_forge.equations import R1, equation_by_id
 from descent_forge.errors import (
     InternalInvariantBroken,
     NotAResolventSolution,
     NotASolution,
     NotPrimitive,
+    StageFailure,
     TrivialInput,
 )
 from descent_forge.reduction import (
@@ -89,6 +91,29 @@ def test_forward_stage_pipeline_on_the_degenerate_triple():
     ]
     assert trace.final is result
     replay_trace(trace)
+
+
+@pytest.mark.parametrize(
+    "reduce_map, args, checker, values",
+    [
+        (_forward_stages, (1, 0, 1), "resolvent_solution", {"lam": 1, "gam": 0, "lam_p": 1, "gam_p": 0}),
+        (backward_lift_biquadratic, (1, 0, 1, 0), "quartic_solution", {"psi": 1, "phi": 1, "T": 1, "S": 0}),
+        (sextic_to_resolvent, (1, 0, 1), "resolvent_solution", {"u": 1, "v": 0, "x": 1, "y": 0}),
+        (resolvent_to_sextic, (1, 0, 1, 0), "quartic_solution", {"xp": 1, "yp": 0, "D": 1}),
+    ],
+)
+def test_rejected_assembly_is_an_assemble_stage_failure(monkeypatch, reduce_map, args, checker, values):
+    rejection = NotAResolventSolution if checker == "resolvent_solution" else NotASolution
+
+    def reject(*_):
+        raise rejection("rejected by the test")
+
+    monkeypatch.setattr(reduction, checker, reject)
+    with pytest.raises(StageFailure) as info:
+        reduce_map(*args)
+    assert info.value.stage == STAGE_ASSEMBLE
+    assert info.value.values == {**values, "reason": "rejected by the test"}
+    assert isinstance(info.value.__cause__, rejection)
 
 
 def test_replay_rejects_tampered_outputs():

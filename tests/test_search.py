@@ -23,6 +23,7 @@ from descent_forge.equations import (
 )
 from descent_forge.errors import BoundExceeded
 from descent_forge.search import (
+    QUARTIC_BOUND_LIMIT,
     VERDICT_CONSISTENT,
     VERDICT_COUNTEREXAMPLE,
     _admissible_residues,
@@ -402,3 +403,15 @@ def test_counterexample_shape_via_injected_equation():
     data = outcome.to_dict()
     assert data["verdict"] == VERDICT_COUNTEREXAMPLE
     assert [1, 1, 0] in data["report"]["solutions"]
+
+
+def test_refused_quartic_search_builds_no_scan_state():
+    # Bound just past the limit: were the per-scan tables built before the
+    # check, the test would fail without allocating a huge table.
+    fresh = QuarticEquation("fresh", 7, 11, 13, 17, 2)
+    before = _admissible_residues.cache_info()
+    with pytest.raises(BoundExceeded):
+        search_quartic(fresh, QUARTIC_BOUND_LIMIT + 1)
+    with pytest.raises(ValueError):
+        search_quartic(fresh, 10, threads=0)
+    assert _admissible_residues.cache_info() == before
