@@ -62,6 +62,10 @@ class ResolventSystem:
     k: int
     l: int
 
+    def __post_init__(self) -> None:
+        if 0 in (self.m, self.n, self.k, self.l):
+            raise ValueError(f"malformed resolvent system {self.id}: zero coefficient")
+
     def form(self) -> str:
         left = f"{_term(self.m, 'x^2', first=True)} {_term(self.n, 'y^2')}"
         right = _term(self.k, "x'^2", first=True) + " " + _term(self.l, "y'^2")
@@ -166,11 +170,14 @@ def resolvent_by_id(sys_id: str) -> ResolventSystem:
     return _RESOLVENTS[sys_id]
 
 
+def is_trivial(x: int, y: int) -> bool:
+    """True when a quartic point (x, y, z) is trivial: x*y = 0 or |x| = |y|."""
+    return x * y == 0 or abs(x) == abs(y)
+
+
 def _flags(x: int, y: int) -> tuple[bool, bool]:
     # math.gcd(0, 0) = 0, so (0, 0) correctly counts as imprimitive.
-    primitive = math.gcd(x, y) == 1
-    trivial = x * y == 0 or abs(x) == abs(y)
-    return primitive, trivial
+    return math.gcd(x, y) == 1, is_trivial(x, y)
 
 
 def eval_quartic(eq: QuarticEquation, x: int, y: int) -> list[QuarticSolution]:
@@ -208,7 +215,7 @@ def quartic_solution(eq: QuarticEquation, x: int, y: int, z: int) -> QuarticSolu
 
 def classify_trivial(sol: QuarticSolution) -> bool:
     """True when sol is trivial: x*y = 0 or |x| = |y|."""
-    return sol.x * sol.y == 0 or abs(sol.x) == abs(sol.y)
+    return is_trivial(sol.x, sol.y)
 
 
 def check_resolvent(sys: ResolventSystem, x: int, y: int, xp: int, yp: int) -> bool:

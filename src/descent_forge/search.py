@@ -10,10 +10,11 @@ Computational Algebraic Number Theory, Alg. 1.7.3) before the gcd, and
 the roughly 1 % of cells that survive are confirmed exactly by
 equations.eval_quartic, which alone finds roots and judges triviality.
 
-Resolvent searches walk coprime (x, y) pairs and take the primed side
-from the coprime factorizations of x*y. Because gcd(x, y) = 1, each of
-those is a unitary divisor of x times one of y, so the candidates
-are products of per-coordinate unitary splits and x*y is never factored.
+Resolvent searches run on the same row kernel. The four-gcd split
+x = p*q, y = r*s, x' = p*r, y' = q*s of a coprime solution turns the
+system into the quartic D*N = z^2 in (q, r), with D = m q^2 - k r^2 and
+N = l q^2 - n r^2; each of its coprime survivors is rebuilt into at most
+one solution, or into a free (p, s) family when D = N = 0.
 Reports list canonical (componentwise nonnegative) representatives sorted
 lexicographically, plus the total number of signed solutions their
 orbits contain, so results are bit-stable across runs and partitionings.
@@ -36,15 +37,15 @@ from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
+from itertools import product
 
-from .core_arith import factorize
 from .equations import (
     QuarticEquation,
     ResolventSystem,
-    classify_trivial,
+    check_resolvent,
     eval_quartic,
+    is_trivial,
     list_catalog,
-    quartic_solution,
     resolvent_by_id,
 )
 from .errors import (
@@ -210,27 +211,15 @@ def _admissible_residues(a: int, b: int, c: int, d: int) -> tuple[tuple[int, ...
     )
 
 
-def search_quartic(
-    eq: QuarticEquation,
-    bound: int = DEFAULT_QUARTIC_BOUND,
-    require_coprime: bool = True,
-    include_trivial: bool = False,
-    threads: int | None = None,
-) -> SearchReport:
-    """Exhaustive scan of 0 <= x, y <= bound for solutions of eq.
-
-    The solutions list honors the coprimality and triviality options; the
-    orbit count tallies every signed solution the scan saw (subject only
-    to the coprimality option), so a scan that finds nothing but trivial
-    orbits still reports their total size.
+def _quartic_rows(eq: QuarticEquation, bound: int, require_coprime: bool):
+    """The sieved row kernel of a quartic scan over 0 <= y <= bound.
 
     Row x visits only the y whose residue mod 64 is admissible for
     x mod 64 (and, for coprime scans, not both even). A cell whose
     quotient lhs / d is not an integer, is negative or is a non-square
     mod 63, 65, 11 or 64 is dropped before the gcd; eval_quartic confirms
-    the survivors exactly.
+    the survivors exactly, and row x yields each with z >= 0.
     """
-    workers = _scan_workers("quartic", bound, QUARTIC_BOUND_LIMIT, threads)
     a, b, c, d = eq.a, eq.b, eq.c, eq.d
     admissible = _admissible_residues(a, b, c, d)
     q64, q63, q65, q11 = (_square_flags(m) for m in (64, 63, 65, 11))
@@ -259,27 +248,32 @@ def search_quartic(
                     if sol.z >= 0:
                         yield sol.as_tuple(), _quartic_orbit_size(sol.x, sol.y, sol.z), sol.trivial
 
+    return row
+
+
+def search_quartic(
+    eq: QuarticEquation,
+    bound: int = DEFAULT_QUARTIC_BOUND,
+    require_coprime: bool = True,
+    include_trivial: bool = False,
+    threads: int | None = None,
+) -> SearchReport:
+    """Exhaustive scan of 0 <= x, y <= bound for solutions of eq.
+
+    The solutions list honors the coprimality and triviality options; the
+    orbit count tallies every signed solution the scan saw (subject only
+    to the coprimality option), so a scan that finds nothing but trivial
+    orbits still reports their total size.
+    """
+    workers = _scan_workers("quartic", bound, QUARTIC_BOUND_LIMIT, threads)
     return _search(
-        eq.id, bound, row,
+        eq.id, bound, _quartic_rows(eq, bound, require_coprime),
         require_coprime=require_coprime, include_trivial=include_trivial, workers=workers,
     )
 
 
-@cache
-def _unitary_splits(n: int) -> tuple[tuple[int, int], ...]:
-    """All (d, n // d) with gcd(d, n // d) = 1, ascending in d, for n >= 1."""
-    divisors = [1]
-    for prime, exponent in factorize(n):
-        power = prime**exponent
-        divisors += [d * power for d in divisors]
-    return tuple((d, n // d) for d in sorted(divisors))
-
-
-def _resolvent_orbit_size(quad: tuple[int, int, int, int]) -> int:
-    # Each nonzero coordinate's sign is free, except that x*y = xp*yp
-    # fixes one sign when the product is nonzero: 16 / 2 patterns.
-    x, y, _, _ = quad
-    return 8 if x * y else 2 ** sum(v != 0 for v in quad)
+# The only points with x*y = 0 whose two pairs are both coprime.
+_AXIS_QUADS = ((0, 1, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 0, 0, 1))
 
 
 def search_resolvent(
@@ -290,41 +284,43 @@ def search_resolvent(
 ) -> SearchReport:
     """Exhaustive scan for solutions of a resolvent system.
 
-    For each coprime (x, y) with 0 <= x, y <= bound the primed side is
-    enumerated through the coprime factorizations of x*y (the product
-    equality makes that exhaustive) and checked against the quadratic
-    equality exactly. Since gcd(x, y) = 1, those factorizations are the
-    products (dx*dy, (x//dx)*(y//dy)) of the unitary splits of x and of y,
-    so x*y itself is never factored. Coprimality is part of
-    solution-hood here, so there is no coprimality option.
+    A coprime solution with x*y != 0 splits uniquely as x = p*q, y = r*s,
+    x' = p*r, y' = q*s with p, q, r, s >= 1 pairwise coprime (the
+    descent's Split stage). Then p^2 D = s^2 N for D = m q^2 - k r^2 and
+    N = l q^2 - n r^2, so D = t s^2 and N = t p^2: D*N is a square, the
+    quartic ml q^4 - (mn + kl) q^2 r^2 + kn r^4 = z^2. Row q runs that
+    quartic's sieved coprime row kernel; a survivor with z > 0 gives
+    t = sign(D) * gcd(D, N) and hence p and s, and one with D = N = 0
+    leaves (p, s) free. The four points with x*y = 0 are tested directly.
+    Coprimality is part of solution-hood here, so there is no coprimality
+    option.
     """
     workers = _scan_workers("resolvent", bound, RESOLVENT_BOUND_LIMIT, threads)
     m, n, k, l = system.m, system.n, system.k, system.l
+    resolvent_quartic = QuarticEquation(system.id, m * l, -(m * n + k * l), k * n, 1, 2)
+    quartic_row = _quartic_rows(resolvent_quartic, bound, require_coprime=True)
 
-    def row(x: int):
-        x_splits = _unitary_splits(x) if x else ()
-        for y in range(bound + 1):
-            if math.gcd(x, y) != 1:
+    def row(q: int):
+        if q == 0:
+            for quad in _AXIS_QUADS:
+                if check_resolvent(system, *quad):
+                    yield quad, 4, True
+        for (_, r, z), _, _ in quartic_row(q):
+            if q * r == 0:
                 continue
-            lhs = m * x * x + n * y * y
-            if x * y == 0:
-                # Coprimality pins the primed side to (1, 0) or (0, 1).
-                candidates = []
-                if k == lhs:
-                    candidates.append((1, 0))
-                if l == lhs:
-                    candidates.append((0, 1))
+            d_value, n_value = m * q * q - k * r * r, l * q * q - n * r * r
+            if z:
+                t = math.gcd(d_value, n_value) if d_value > 0 else -math.gcd(d_value, n_value)
+                splits = [(math.isqrt(n_value // t), math.isqrt(d_value // t))]
+            elif d_value == n_value == 0:
+                splits = product(range(1, bound // q + 1), range(1, bound // r + 1))
             else:
-                y_splits = _unitary_splits(y)
-                candidates = [
-                    (dx * dy, cx * cy)
-                    for dx, cx in x_splits
-                    for dy, cy in y_splits
-                    if k * (dx * dy) ** 2 + l * (cx * cy) ** 2 == lhs
-                ]
-            for xp, yp in candidates:
-                quad = (x, y, xp, yp)
-                yield quad, _resolvent_orbit_size(quad), x * y == 0
+                continue  # p = 0 or s = 0: x*y = 0
+            for p, s in splits:
+                x, y, xp, yp = p * q, r * s, p * r, q * s
+                if x <= bound and y <= bound and math.gcd(x, y) == 1 and math.gcd(xp, yp) == 1:
+                    # 16 sign patterns, halved by x*y = x'*y'.
+                    yield (x, y, xp, yp), 8, False
 
     return _search(
         system.id, bound, row,
@@ -377,23 +373,16 @@ def _cross_check(eq_id: str, x: int, y: int, z: int) -> dict:
     return {"solution": [x, y, z], "expected": expected, "actual": actual, "ok": expected == actual}
 
 
-def _quartic_outcome(
-    eq: QuarticEquation, bound: int, include_trivial: bool, threads: int
-) -> VerifyOutcome:
+def _quartic_outcome(eq: QuarticEquation, bound: int, threads: int) -> VerifyOutcome:
     # E2 and E4 are scanned once with trivial solutions listed: the
     # cross-checks need them, and the report drops them afterwards.
     checked = eq.id in ("E2", "E4")
-    report = search_quartic(
-        eq, bound, require_coprime=True, include_trivial=include_trivial or checked, threads=threads
-    )
+    report = search_quartic(eq, bound, require_coprime=True, include_trivial=checked, threads=threads)
     cross_checks: tuple[dict, ...] = ()
     if checked:
         cross_checks = tuple(_cross_check(eq.id, *sol) for sol in report.solutions)
-        if not include_trivial:
-            nontrivial = tuple(
-                sol for sol in report.solutions if not classify_trivial(quartic_solution(eq, *sol))
-            )
-            report = replace(report, include_trivial=False, solutions=nontrivial)
+        nontrivial = tuple(sol for sol in report.solutions if not is_trivial(sol[0], sol[1]))
+        report = replace(report, include_trivial=False, solutions=nontrivial)
     consistent = not report.solutions and all(check["ok"] for check in cross_checks)
     return VerifyOutcome(
         target_id=eq.id,
@@ -417,7 +406,7 @@ def verify_table(
     """
     workers = thread_count(threads)
     outcomes = [
-        _quartic_outcome(entry.equation, quartic_bound, False, workers)
+        _quartic_outcome(entry.equation, quartic_bound, workers)
         for entry in list_catalog()
     ]
     for sys_id in ("R1", "R2"):

@@ -15,6 +15,7 @@ from descent_forge.equations import (
     MEMBER_R1,
     MEMBER_R2,
     QuarticEquation,
+    ResolventSystem,
     check_resolvent,
     classify_trivial,
     equation_by_id,
@@ -84,6 +85,12 @@ def test_malformed_equation_is_rejected_at_construction():
         QuarticEquation("BAD", 0, 1, 1, 1, 2)
     with pytest.raises(ValueError):
         QuarticEquation("BAD", 1, 0, 1, 1, 3)
+
+
+@pytest.mark.parametrize("coefficients", [(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)])
+def test_resolvent_system_with_a_zero_coefficient_is_rejected(coefficients):
+    with pytest.raises(ValueError, match="zero coefficient"):
+        ResolventSystem("BAD", *coefficients)
 
 
 @pytest.mark.parametrize(

@@ -24,13 +24,13 @@ from descent_forge.equations import (
 from descent_forge.errors import BoundExceeded
 from descent_forge.search import (
     QUARTIC_BOUND_LIMIT,
+    RESOLVENT_BOUND_LIMIT,
     VERDICT_CONSISTENT,
     VERDICT_COUNTEREXAMPLE,
     _admissible_residues,
     _cross_check,
     _quartic_outcome,
     _square_flags,
-    _unitary_splits,
     all_consistent,
     search_quartic,
     search_resolvent,
@@ -111,15 +111,13 @@ def test_resolvent_scan_trivial_solutions():
     assert companion.orbit_count == 4
 
 
-def test_unitary_divisor_pairs():
-    assert _unitary_splits(1) == ((1, 1),)
-    assert _unitary_splits(12) == ((1, 12), (3, 4), (4, 3), (12, 1))
-    for n in range(1, 201):
-        pairs = _unitary_splits(n)
-        brute = tuple(
-            (d, n // d) for d in range(1, n + 1) if n % d == 0 and math.gcd(d, n // d) == 1
-        )
-        assert pairs == brute
+def test_resolvent_scan_at_the_bound_limit_is_empty_and_quick():
+    # The quartic scan over the split takes under 1 s per system on a
+    # 2-vCPU VM; a unitary-divisor candidate scan took 15-17 s there.
+    for system in (R1, R2):
+        report = search_resolvent(system, RESOLVENT_BOUND_LIMIT)
+        assert report.solutions == ()
+        assert report.elapsed_ms < 10_000
 
 
 def _resolvent_oracle(system, bound):
@@ -153,14 +151,16 @@ def _resolvent_oracle(system, bound):
     return solutions, orbits
 
 
-# R1 and R2 have only trivial solutions, so three synthetic systems with
+# R1 and R2 have only trivial solutions, so four synthetic systems with
 # nontrivial ones pin the candidate generator too: T1 has (x, y, y, x),
 # T2 has (6, 1, 2, 3) and T3 has (4, 15, 5, 12), which need partial
-# unitary splits of x and of y.
+# unitary splits of x and of y. T1 and T4 have a free D = N = 0 family
+# of the split x = p*q, y = r*s, at (q, r) = (1, 1) and (2, 1).
 _SYNTHETIC = (
     ResolventSystem("T1", 1, 1, 1, 1),
     ResolventSystem("T2", 1, 3, 3, 3),
     ResolventSystem("T3", 2, 2, 2, 3),
+    ResolventSystem("T4", 1, 4, 4, 1),
 )
 
 
@@ -174,6 +174,19 @@ def test_resolvent_scan_matches_divisor_oracle(bound, include_trivial):
         report = search_resolvent(system, bound, include_trivial=include_trivial)
         assert report.solutions == tuple(sorted(solutions))
         assert report.orbit_count == orbits
+
+
+# Reference counts, measured with a unitary-divisor candidate scan.
+@pytest.mark.parametrize(
+    ("system", "solutions", "orbits"),
+    [(_SYNTHETIC[0], 27_433, 219_448), (_SYNTHETIC[3], 16_020, 128_152)],
+    ids=["T1", "T4"],
+)
+def test_dense_resolvent_scan_counts(system, solutions, orbits):
+    report = search_resolvent(system, 150, include_trivial=True)
+    assert len(report.solutions) == solutions
+    assert report.orbit_count == orbits
+    assert all(check_resolvent(system, *quad) for quad in report.solutions)
 
 
 def _quartic_oracle(eq, bound, require_coprime):
@@ -323,7 +336,7 @@ def test_quartic_outcome_scans_once_and_matches_two_scans(eq_id, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(search, "search_quartic", counting)
-    assert _quartic_outcome(eq, 200, False, 1).to_dict() == expected
+    assert _quartic_outcome(eq, 200, 1).to_dict() == expected
     assert len(calls) == 1
 
 
@@ -393,16 +406,15 @@ def test_verify_table_at_unit_bound_sees_only_trivial_orbits():
 
 
 def test_counterexample_shape_via_injected_equation():
-    # A copy of the difference equation under a foreign id bypasses the
-    # catalog's reduction cross-checks, and including trivial solutions
-    # makes the scan non-empty: the report must carry the witnesses.
-    fake = QuarticEquation("FAKE", 1, 0, -1, 1, 2)
-    outcome = _quartic_outcome(fake, 1, include_trivial=True, threads=1)
+    # (x^2 + y^2)^2 = z^2 under a foreign id: every cell is a solution, so
+    # the nontrivial scan is non-empty and the report carries the witnesses.
+    fake = QuarticEquation("FAKE", 1, 2, 1, 1, 2)
+    outcome = _quartic_outcome(fake, 2, threads=1)
     assert outcome.verdict == VERDICT_COUNTEREXAMPLE
-    assert (1, 1, 0) in outcome.report.solutions
+    assert outcome.report.solutions == ((1, 2, 5), (2, 1, 5))
     data = outcome.to_dict()
     assert data["verdict"] == VERDICT_COUNTEREXAMPLE
-    assert [1, 1, 0] in data["report"]["solutions"]
+    assert data["report"]["solutions"] == [[1, 2, 5], [2, 1, 5]]
 
 
 def test_refused_quartic_search_builds_no_scan_state():
