@@ -2,13 +2,16 @@
 
 Quartic searches walk the coprime grid 0 <= x, y <= bound and ask for
 exact z values. Since z^e is a square for e = 2 and e = 4, the left side
-must be d times a square; a lazily built table, one per coefficient
-tuple, lists for each x mod 64 the y mod 64 where that can hold, and row
-x walks only those residue classes. The quotient lhs / d must then pass
-the square-residue tables mod 63, 65, 11 and 64 (Cohen, A Course in
-Computational Algebraic Number Theory, Alg. 1.7.3) before the gcd, and
-the roughly 1 % of cells that survive are confirmed exactly by
-equations.eval_quartic, which alone finds roots and judges triviality.
+must be d times a square modulo every m. For each coefficient tuple and
+each sieve modulus m (64, 63, 65, 11 and the primes 17 to 53), a lazily
+built table lists for each x mod m the y mod m where that can hold
+(square-residue sieving, Cohen, A Course in Computational Algebraic
+Number Theory, Alg. 1.7.3). A scan repeats every table row across the
+bound and packs it into an int, so row x ANDs one int per modulus and
+rejects a whole row's cells at once. The few cells that survive (75 of
+4.33 M over the catalog at bound 600) pass the gcd check and are
+confirmed exactly by equations.eval_quartic, which alone finds roots and
+judges triviality.
 
 Resolvent searches run on the same row kernel. The four-gcd split
 x = p*q, y = r*s, x' = p*r, y' = q*s of a coprime solution turns the
@@ -20,7 +23,8 @@ lexicographically, plus the total number of signed solutions their
 orbits contain, so results are bit-stable across runs and partitionings.
 
 Both searches validate the bound and the worker count first, through
-_scan_workers, and only then build any per-scan state. Each is a row
+_scan_workers, and only then build any per-scan state; verify_table
+validates both of its bounds before its first scan. Each is a row
 kernel run by one shared engine, _search, which splits rows 0..bound
 into fixed 128-row chunks, merges them in chunk order and assembles the
 SearchReport. The DESCENT_FORGE_THREADS environment variable (default 1)
@@ -36,7 +40,7 @@ import time
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import product
 
 from .equations import (
@@ -186,67 +190,89 @@ def _quartic_orbit_size(x: int, y: int, z: int) -> int:
     return 2 ** ((x != 0) + (y != 0) + (z != 0))
 
 
-@cache
-def _square_flags(modulus: int) -> bytes:
-    """Byte i is 1 exactly when i is a square mod modulus."""
-    flags = bytearray(modulus)
-    for r in range(modulus):
-        flags[r * r % modulus] = 1
-    return bytes(flags)
+# Sieve moduli, each at most 256 so that a residue fits in a byte. Over
+# the 12 catalog scans at bound 600 (4.33 M cells), 64, 63, 65 and 11
+# alone leave 54 253 cells for eval_quartic, with the primes 17-29 added
+# 3 943, and with 17-53 added 75. Adding 59-73 as well cuts the 75 to 21
+# but made a cold pass slower: each modulus costs table building and one
+# AND per row.
+_SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
 # Bounded: callers may pass any number of distinct equations.
 @lru_cache(maxsize=64)
-def _admissible_residues(a: int, b: int, c: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """For each u = x mod 64, the ascending residues r = y mod 64 that can
-    carry a solution of a*x^4 + b*x^2*y^2 + c*y^4 = d*z^e.
+def _sieve_tables(a: int, b: int, c: int, d: int) -> tuple[tuple[bytes, ...], ...]:
+    """Per sieve modulus m, for each u = x mod m, the y residues mod m that
+    can carry a solution of a*x^4 + b*x^2*y^2 + c*y^4 = d*z^e.
 
-    z^e is a square for e = 2 and e = 4 alike, so the left side must be
-    d times a square mod 64; that depends only on (u, r).
+    Byte r of entry [i][u] is 1 exactly when a*u^4 + b*u^2*r^2 + c*r^4 is
+    d times a square mod m = _SIEVE_MODULI[i]. z^e is a square for e = 2
+    and e = 4 alike, and the condition has period m in x and y whatever d
+    is, so every solution passes, for negative d and for d sharing primes
+    with m too.
     """
-    targets = {d * s % 64 for s, flag in enumerate(_square_flags(64)) if flag}
-    return tuple(
-        tuple(r for r in range(64) if (a * u**4 + b * u * u * r * r + c * r**4) % 64 in targets)
-        for u in range(64)
-    )
+    tables = []
+    for m in _SIEVE_MODULI:
+        square_of = bytes(r * r % m for r in range(m))
+        squares = set(square_of)
+        targets = {d * s % m for s in squares}
+        # A row depends on u only through v = u^2 and on r only through r^2.
+        rows = {}
+        for v in squares:
+            admits = bytearray(256)
+            for w in squares:
+                admits[w] = (a * v * v + b * v * w + c * w * w) % m in targets
+            rows[v] = square_of.translate(admits)
+        tables.append(tuple(rows[v] for v in square_of))
+    return tuple(tables)
 
 
 def _quartic_rows(eq: QuarticEquation, bound: int, require_coprime: bool):
     """The sieved row kernel of a quartic scan over 0 <= y <= bound.
 
-    Row x visits only the y whose residue mod 64 is admissible for
-    x mod 64 (and, for coprime scans, not both even). A cell whose
-    quotient lhs / d is not an integer, is negative or is a non-square
-    mod 63, 65, 11 or 64 is dropped before the gcd; eval_quartic confirms
-    the survivors exactly, and row x yields each with z >= 0.
+    Each table row of _sieve_tables is repeated to bound + 1 bytes and
+    packed into an int once per scan; that state is only read afterwards,
+    so chunks may share it across threads. Row x ANDs the ints for x mod m
+    over the moduli, stops at the first zero and walks the y whose byte
+    survived. A coprime scan starts even rows from the odd y and drops
+    y = 0 from every row but x = 1, then checks the gcd of each survivor.
+    eval_quartic alone finds roots, rejects a non-divisible or negative
+    quotient and judges triviality; row x yields each solution with
+    z >= 0.
     """
-    a, b, c, d = eq.a, eq.b, eq.c, eq.d
-    admissible = _admissible_residues(a, b, c, d)
-    q64, q63, q65, q11 = (_square_flags(m) for m in (64, 63, 65, 11))
-    y_squares = [y * y for y in range(bound + 1)]
-    c_y_fourths = [c * s * s for s in y_squares]
+    width = bound + 1
+
+    def spread(pattern: bytes) -> int:
+        return int.from_bytes((pattern * (width // len(pattern) + 1))[:width], "little")
+
+    # Rows 0..bound meet only the residues below min(m, width). Residues
+    # with equal u^2 share one pattern, packed once.
+    sieves = []
+    for m, table in zip(_SIEVE_MODULI, _sieve_tables(eq.a, eq.b, eq.c, eq.d)):
+        patterns = table[:width]
+        packed = {pattern: spread(pattern) for pattern in set(patterns)}
+        sieves.append((m, [packed[pattern] for pattern in patterns]))
+    every_y = spread(b"\1")
+    # A coprime cell has x or y odd, and has y = 0 only at x = 1.
+    odd_y, nonzero_y = spread(b"\0\1"), every_y ^ 1
 
     def row(x: int):
-        x_squared = x * x
-        a_x_fourth = a * x_squared * x_squared
-        b_x_squared = b * x_squared
-        for r in admissible[x % 64]:
-            if r > bound:
-                break
-            if require_coprime and not (x | r) & 1:
-                continue  # x and y both even
-            for y in range(r, bound + 1, 64):
-                lhs = a_x_fourth + b_x_squared * y_squares[y] + c_y_fourths[y]
-                if lhs % d:
-                    continue
-                q = lhs // d
-                if q < 0 or not (q63[q % 63] and q65[q % 65] and q11[q % 11] and q64[q & 63]):
-                    continue
-                if require_coprime and math.gcd(x, y) != 1:
-                    continue
+        if not require_coprime or x == 1:
+            mask = every_y
+        else:
+            mask = nonzero_y if x & 1 else odd_y
+        for m, masks in sieves:
+            mask &= masks[x % m]
+            if not mask:
+                return
+        cells = mask.to_bytes(width, "little")
+        y = cells.find(1)
+        while y >= 0:
+            if not require_coprime or math.gcd(x, y) == 1:
                 for sol in eval_quartic(eq, x, y):
                     if sol.z >= 0:
                         yield sol.as_tuple(), _quartic_orbit_size(sol.x, sol.y, sol.z), sol.trivial
+            y = cells.find(1, y + 1)
 
     return row
 
@@ -404,7 +430,10 @@ def verify_table(
     reduction maps exactly as their contracts dictate. A resolvent target
     is consistent when its nontrivial scan comes back empty.
     """
+    # Refuse a bad bound before the first scan, not after the quartic ones.
     workers = thread_count(threads)
+    _scan_workers("quartic", quartic_bound, QUARTIC_BOUND_LIMIT, workers)
+    _scan_workers("resolvent", resolvent_bound, RESOLVENT_BOUND_LIMIT, workers)
     outcomes = [
         _quartic_outcome(entry.equation, quartic_bound, workers)
         for entry in list_catalog()

@@ -27,10 +27,10 @@ from descent_forge.search import (
     RESOLVENT_BOUND_LIMIT,
     VERDICT_CONSISTENT,
     VERDICT_COUNTEREXAMPLE,
-    _admissible_residues,
+    _SIEVE_MODULI,
     _cross_check,
     _quartic_outcome,
-    _square_flags,
+    _sieve_tables,
     all_consistent,
     search_quartic,
     search_resolvent,
@@ -289,13 +289,14 @@ _SIEVE_PROBES = (
 
 def test_residue_table_admits_every_solution_below_192():
     for eq in (*(entry.equation for entry in list_catalog()), *_SIEVE_PROBES):
-        table = _admissible_residues(eq.a, eq.b, eq.c, eq.d)
-        assert len(table) == 64
+        tables = _sieve_tables(eq.a, eq.b, eq.c, eq.d)
+        assert [len(table) for table in tables] == list(_SIEVE_MODULI)
         hits = 0
         for x, y in product(range(192), repeat=2):
             if eval_quartic(eq, x, y):
                 hits += 1
-                assert y % 64 in table[x % 64], (eq, x, y)
+                for m, table in zip(_SIEVE_MODULI, tables):
+                    assert table[x % m][y % m], (eq, m, x, y)
         assert hits, eq
     # Off-diagonal classes are exercised, not only x*y = 0 and x = y.
     assert any(
@@ -303,11 +304,50 @@ def test_residue_table_admits_every_solution_below_192():
     )
 
 
-@pytest.mark.parametrize("modulus", [64, 63, 65, 11])
+@pytest.mark.parametrize("modulus", _SIEVE_MODULI)
 def test_square_flag_tables_match_brute_force(modulus):
-    flags = _square_flags(modulus)
-    assert len(flags) == modulus
-    assert {i for i in range(modulus) if flags[i]} == {r * r % modulus for r in range(modulus)}
+    # Each sieve table against its definition over a full period: byte r
+    # of row u is set exactly when a*u^4 + b*u^2*r^2 + c*r^4 = d*s^2 mod m
+    # for some s, including for negative d and d sharing primes with m.
+    index = _SIEVE_MODULI.index(modulus)
+    for a, b, c in ((1, 0, -1), (1, 6, 1), (-2, 2, -3)):
+        for d in (1, -1, 2, 8, 11, 63, 64, 128, 195):
+            table = _sieve_tables(a, b, c, d)[index]
+            assert len(table) == modulus
+            targets = {d * s * s % modulus for s in range(modulus)}
+            for u in range(modulus):
+                assert len(table[u]) == modulus
+                expected = [
+                    (a * u**4 + b * u * u * r * r + c * r**4) % modulus in targets
+                    for r in range(modulus)
+                ]
+                assert list(map(bool, table[u])) == expected, (a, b, c, d, u)
+
+
+@pytest.mark.parametrize("require_coprime", [True, False])
+def test_quartic_scan_matches_grid_oracle_past_chunk_and_period_edges(require_coprime):
+    # Bound 140 is past the 128-row chunk edge and past every sieve
+    # modulus, so each table row is repeated and split across chunks.
+    assert 140 >= max(_SIEVE_MODULI) and 140 > search._CHUNK_ROWS
+    for eq in (*(entry.equation for entry in list_catalog()), *_SIEVE_PROBES):
+        _assert_quartic_scan_matches_oracle(eq, 140, require_coprime, include_trivial=True)
+
+
+def test_sieve_leaves_few_cells_for_eval_quartic(monkeypatch):
+    # The sieve leaves 26 cells here and its mod-64 table alone 374 602,
+    # so a weakened sieve fails this test instead of showing only as a
+    # slowdown.
+    calls = []
+    original = search.eval_quartic
+
+    def counting(eq, x, y):
+        calls.append((eq.id, x, y))
+        return original(eq, x, y)
+
+    monkeypatch.setattr(search, "eval_quartic", counting)
+    for entry in list_catalog():
+        search_quartic(entry.equation, 300, include_trivial=True)
+    assert 0 < len(calls) < 200
 
 
 @pytest.mark.parametrize("eq_id", ["E2", "E4"])
@@ -405,6 +445,22 @@ def test_verify_table_at_unit_bound_sees_only_trivial_orbits():
     assert all(o.report.solutions == () for o in outcomes)
 
 
+@pytest.mark.parametrize(
+    ("quartic_bound", "resolvent_bound"),
+    [(100, RESOLVENT_BOUND_LIMIT + 1), (0, 60)],
+)
+def test_verify_table_refuses_bad_bounds_before_any_scan(quartic_bound, resolvent_bound, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan ran before the bounds were checked")
+
+    monkeypatch.setattr(search, "search_quartic", refuse)
+    monkeypatch.setattr(search, "search_resolvent", refuse)
+    with pytest.raises(BoundExceeded):
+        verify_table(quartic_bound, resolvent_bound, threads=1)
+    with pytest.raises(ValueError):
+        verify_table(threads=0)
+
+
 def test_counterexample_shape_via_injected_equation():
     # (x^2 + y^2)^2 = z^2 under a foreign id: every cell is a solution, so
     # the nontrivial scan is non-empty and the report carries the witnesses.
@@ -421,9 +477,9 @@ def test_refused_quartic_search_builds_no_scan_state():
     # Bound just past the limit: were the per-scan tables built before the
     # check, the test would fail without allocating a huge table.
     fresh = QuarticEquation("fresh", 7, 11, 13, 17, 2)
-    before = _admissible_residues.cache_info()
+    before = _sieve_tables.cache_info()
     with pytest.raises(BoundExceeded):
         search_quartic(fresh, QUARTIC_BOUND_LIMIT + 1)
     with pytest.raises(ValueError):
         search_quartic(fresh, 10, threads=0)
-    assert _admissible_residues.cache_info() == before
+    assert _sieve_tables.cache_info() == before
