@@ -12,9 +12,12 @@ input before the pipeline starts; each deduction stage is therefore also
 exposed on its own so the machinery stays testable on synthetic values.
 
 residue_obstruction reconstructs the congruence half of the argument: it
-enumerates residue classes compatible with the two defining equations and
+counts the residue classes compatible with the two defining equations and
 the coprimality side conditions and reports whether a given modulus is
-forced to divide the product x*y.
+forced to divide the product x*y. It works one prime-power component at
+a time, one orbit of products under the unit squares at a time, and
+joins the components by CRT, so every accepted modulus takes well under
+a second.
 """
 
 from __future__ import annotations
@@ -91,46 +94,95 @@ def _analysis_modulus(modulus: int) -> int:
     return modulus << max(0, 3 - two_adic)
 
 
+def _component_survivors(
+    system: ResolventSystem, prime: int, depth: int, reported: int
+) -> tuple[int, set[int]]:
+    """Survivors of the system modulo one prime power P = prime**depth.
+
+    Returns the number of surviving quadruple classes mod P and the set of
+    their products x*y reduced mod `reported` (a divisor of P).
+
+    Survivors with product pi number sum_v L(v) R(v), where L(v) and R(v)
+    count the pairs with product pi on which m x^2 + n y^2, respectively
+    k x^2 + l y^2, equals v. Scaling a whole quadruple by a unit t keeps
+    it a survivor and sends pi to t^2 pi, so that number depends only on
+    pi's orbit under the unit squares and is computed once per orbit. A
+    pair that prime does not divide both members of has a unit member u:
+    the pairs with product pi are (u, pi/u) and, when prime | pi,
+    (pi/u, u). Their values depend on u only through u^2, and every unit
+    square has the same number of roots u, so L and R are tallied over
+    the unit squares alone.
+    """
+    modulus = prime**depth
+    squares = {u * u % modulus for u in range(1, modulus) if u % prime}
+    roots = (modulus - modulus // prime) // len(squares)  # per unit square
+    inverse_pairs = [(square, pow(square, -1, modulus)) for square in squares]
+    m, n, k, l = system.m, system.n, system.k, system.l
+
+    seen = bytearray(modulus)
+    classes = 0
+    products: set[int] = set()
+    for pi in range(modulus):
+        if seen[pi]:
+            continue
+        orbit = {pi * square % modulus for square in squares}
+        for member in orbit:
+            seen[member] = 1
+        # (x^2, y^2) over the pairs with product pi, one per unit square.
+        pi_squared = pi * pi % modulus
+        pairs = [(square, pi_squared * inverse % modulus) for square, inverse in inverse_pairs]
+        if pi % prime == 0:
+            pairs += [(y_square, x_square) for x_square, y_square in pairs]
+        left: dict[int, int] = {}
+        right: dict[int, int] = {}
+        for x_square, y_square in pairs:
+            value = (m * x_square + n * y_square) % modulus
+            left[value] = left.get(value, 0) + 1
+            value = (k * x_square + l * y_square) % modulus
+            right[value] = right.get(value, 0) + 1
+        count = roots * roots * sum(total * right.get(value, 0) for value, total in left.items())
+        if count:
+            classes += count * len(orbit)
+            products.update(member % reported for member in orbit)
+    return classes, products
+
+
 def residue_obstruction(system: ResolventSystem, modulus: int) -> ObstructionReport:
-    """Enumerate residue classes of the system modulo the given modulus.
+    """Count the residue classes of the system modulo the given modulus.
 
     A quadruple class survives when it satisfies the quadratic congruence
     and the product congruence and no prime divisor of the modulus divides
     both members of either pair. The report says whether modulus | x*y
     holds across every survivor.
+
+    The conditions split over the prime-power components of the analysis
+    modulus (the 2-part at depth at least 3), so survivors are the CRT
+    product of the component survivors: their counts multiply, and the
+    surviving products are the CRT image of the component product sets.
     """
     if modulus < 2 or modulus > MODULUS_LIMIT:
         raise BoundExceeded(f"modulus {modulus} outside [2, {MODULUS_LIMIT}]")
-    deep = _analysis_modulus(modulus)
-    primes = [prime for prime, _ in factorize(modulus)]
-
-    # Group pairs by (quadratic value, product) mod the analysis modulus;
-    # a survivor is a left pair and a right pair in the same group. Both
-    # sides range over the same pair classes, so one enumeration serves both.
-    left: dict[tuple[int, int], list[int]] = {}
-    right: dict[tuple[int, int], int] = {}
-    for x in range(deep):
-        x_zero = [q for q in primes if x % q == 0]
-        for y in range(deep):
-            if any(y % q == 0 for q in x_zero):
-                continue
-            product = x * y % deep
-            left_key = ((system.m * x * x + system.n * y * y) % deep, product)
-            left.setdefault(left_key, []).append(x * y % modulus)
-            right_key = ((system.k * x * x + system.l * y * y) % deep, product)
-            right[right_key] = right.get(right_key, 0) + 1
-
-    surviving: set[int] = set()
-    survivor_classes = 0
-    for key, products in left.items():
-        partners = right.get(key, 0)
-        if partners:
-            surviving.update(products)
-            survivor_classes += partners * len(products)
+    survivor_classes = 1
+    surviving = {0}
+    combined = 1
+    for prime, exponent in factorize(modulus):
+        depth = max(exponent, 3) if prime == 2 else exponent
+        reported = prime**exponent
+        classes, products = _component_survivors(system, prime, depth, reported)
+        survivor_classes *= classes
+        # Lift each combined residue mod `combined` and each component
+        # product mod `reported` to their common residue mod the product.
+        step = combined * pow(combined, -1, reported)
+        surviving = {
+            (base + (product - base) * step) % (combined * reported)
+            for base in surviving
+            for product in products
+        }
+        combined *= reported
     return ObstructionReport(
         system_id=system.id,
         modulus=modulus,
-        analysis_modulus=deep,
+        analysis_modulus=_analysis_modulus(modulus),
         forced=all(value == 0 for value in surviving),
         surviving_products=tuple(sorted(surviving)),
         survivor_classes=survivor_classes,

@@ -230,28 +230,34 @@ def _sieve_tables(a: int, b: int, c: int, d: int) -> tuple[tuple[bytes, ...], ..
 def _quartic_rows(eq: QuarticEquation, bound: int, require_coprime: bool):
     """The sieved row kernel of a quartic scan over 0 <= y <= bound.
 
-    Each table row of _sieve_tables is repeated to bound + 1 bytes and
-    packed into an int once per scan; that state is only read afterwards,
-    so chunks may share it across threads. Row x ANDs the ints for x mod m
-    over the moduli, stops at the first zero and walks the y whose byte
-    survived. A coprime scan starts even rows from the odd y and drops
-    y = 0 from every row but x = 1, then checks the gcd of each survivor.
-    eval_quartic alone finds roots, rejects a non-divisible or negative
-    quotient and judges triviality; row x yields each solution with
-    z >= 0.
+    For each modulus m below bound + 1, each table row of _sieve_tables is
+    repeated to bound + 1 bytes and packed into an int once per scan; that
+    state is only read afterwards, so chunks may share it across threads.
+    Row x ANDs the ints for x mod m over those moduli and then, for each
+    larger modulus, its table row x packed on the spot; it stops at the
+    first zero and walks the y whose byte survived. A small scan thus
+    packs only the masks its rows reach. A coprime scan starts even rows
+    from the odd y and drops y = 0 from every row but x = 1, then checks
+    the gcd of each survivor. eval_quartic alone finds roots, rejects a
+    non-divisible or negative quotient and judges triviality; row x
+    yields each solution with z >= 0.
     """
     width = bound + 1
 
     def spread(pattern: bytes) -> int:
         return int.from_bytes((pattern * (width // len(pattern) + 1))[:width], "little")
 
-    # Rows 0..bound meet only the residues below min(m, width). Residues
-    # with equal u^2 share one pattern, packed once.
-    sieves = []
+    # A modulus below the width repeats its residues across the rows, so
+    # its masks are packed up front, residues with equal u^2 sharing one.
+    # At or above the width, row x is the only row with residue x, so its
+    # mask is packed only if the row reaches that modulus.
+    sieves, single = [], []
     for m, table in zip(_SIEVE_MODULI, _sieve_tables(eq.a, eq.b, eq.c, eq.d)):
-        patterns = table[:width]
-        packed = {pattern: spread(pattern) for pattern in set(patterns)}
-        sieves.append((m, [packed[pattern] for pattern in patterns]))
+        if m < width:
+            packed = {pattern: spread(pattern) for pattern in set(table)}
+            sieves.append((m, [packed[pattern] for pattern in table]))
+        else:
+            single.append(table)
     every_y = spread(b"\1")
     # A coprime cell has x or y odd, and has y = 0 only at x = 1.
     odd_y, nonzero_y = spread(b"\0\1"), every_y ^ 1
@@ -263,6 +269,10 @@ def _quartic_rows(eq: QuarticEquation, bound: int, require_coprime: bool):
             mask = nonzero_y if x & 1 else odd_y
         for m, masks in sieves:
             mask &= masks[x % m]
+            if not mask:
+                return
+        for table in single:
+            mask &= int.from_bytes(table[x][:width], "little")
             if not mask:
                 return
         cells = mask.to_bytes(width, "little")

@@ -205,3 +205,22 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["verdict"] == "CONSISTENT"
+
+
+def test_importing_the_package_builds_no_parser():
+    code = (
+        "import argparse, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import descent_forge\n"
+        "print('descent_forge.cli' in sys.modules)\n"
+        "import descent_forge.cli\n"
+        "print(len(built))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "0"]

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from descent_forge import descent
-from descent_forge.core_arith import coprime_split
+from descent_forge.core_arith import coprime_split, factorize
 from descent_forge.descent import (
+    MODULUS_LIMIT,
     STAGE_INNER_TRIPLES,
     STAGE_REARRANGE,
     STAGE_SUM_DIFFERENCE,
@@ -19,6 +21,7 @@ from descent_forge.descent import (
     TERMINAL_TRIVIAL_INPUT,
     TERMINAL_TRIVIAL_REACHED,
     DescentStep,
+    ObstructionReport,
     descent_chain,
     descent_step,
     inner_triples_stage,
@@ -86,6 +89,115 @@ def test_mod_9_obstruction_is_not_forced():
 def test_obstruction_handles_the_companion_system():
     assert residue_obstruction(R2, 2).forced is True
     assert residue_obstruction(R2, 3).forced is True
+
+
+def _direct_residue_obstruction(system: ResolventSystem, modulus: int) -> ObstructionReport:
+    """Oracle: enumerate all deep^2 pair classes mod the analysis modulus."""
+    deep = descent._analysis_modulus(modulus)
+    primes = [prime for prime, _ in factorize(modulus)]
+
+    # Group pairs by (quadratic value, product) mod the analysis modulus;
+    # a survivor is a left pair and a right pair in the same group. Both
+    # sides range over the same pair classes, so one enumeration serves both.
+    left: dict[tuple[int, int], list[int]] = {}
+    right: dict[tuple[int, int], int] = {}
+    for x in range(deep):
+        x_zero = [q for q in primes if x % q == 0]
+        for y in range(deep):
+            if any(y % q == 0 for q in x_zero):
+                continue
+            product = x * y % deep
+            left_key = ((system.m * x * x + system.n * y * y) % deep, product)
+            left.setdefault(left_key, []).append(x * y % modulus)
+            right_key = ((system.k * x * x + system.l * y * y) % deep, product)
+            right[right_key] = right.get(right_key, 0) + 1
+
+    surviving: set[int] = set()
+    survivor_classes = 0
+    for key, products in left.items():
+        partners = right.get(key, 0)
+        if partners:
+            surviving.update(products)
+            survivor_classes += partners * len(products)
+    return ObstructionReport(
+        system_id=system.id,
+        modulus=modulus,
+        analysis_modulus=deep,
+        forced=all(value == 0 for value in surviving),
+        surviving_products=tuple(sorted(surviving)),
+        survivor_classes=survivor_classes,
+    )
+
+
+# S1 has no survivors at all modulo 3 or 8 (x^2 + y^2 = 3(x'^2 + y'^2)),
+# so every multiple of 2 or 3 is forced only vacuously; S2 mixes forced
+# and unforced moduli with no empty component below 60.
+_ORACLE_SYSTEMS = (
+    R1,
+    R2,
+    ResolventSystem("S1", 1, 1, 3, 3),
+    ResolventSystem("S2", 2, -3, 5, 7),
+)
+# Prime powers whose unit-square orbits reach depth 2 and beyond.
+_ORACLE_PRIME_POWERS = (125, 128, 169, 243, 256)
+
+
+@pytest.mark.parametrize("system", _ORACLE_SYSTEMS, ids=lambda system: system.id)
+def test_residue_obstruction_matches_direct_enumeration(system):
+    mismatches = [
+        modulus
+        for modulus in (*range(2, 121), *_ORACLE_PRIME_POWERS)
+        if residue_obstruction(system, modulus).to_dict()
+        != _direct_residue_obstruction(system, modulus).to_dict()
+    ]
+    assert mismatches == []
+
+
+def test_synthetic_oracle_systems_reach_the_empty_and_unforced_cases():
+    assert residue_obstruction(_ORACLE_SYSTEMS[2], 3).survivor_classes == 0
+    assert residue_obstruction(_ORACLE_SYSTEMS[2], 6).forced is True
+    assert residue_obstruction(_ORACLE_SYSTEMS[3], 7).forced is False
+
+
+# The largest accepted prime, 2^13, 97^2, 3^8 and 2 * 4999.
+_WORST_CASE_MODULI = (9973, 8192, 9409, 6561, 9998)
+
+
+@pytest.mark.parametrize("modulus", _WORST_CASE_MODULI)
+def test_residue_obstruction_is_bounded_at_the_modulus_limit(modulus):
+    assert modulus <= MODULUS_LIMIT
+    start = time.perf_counter()
+    report = residue_obstruction(R1, modulus)
+    assert time.perf_counter() - start < 10.0
+    assert report.analysis_modulus == descent._analysis_modulus(modulus)
+    assert report.survivor_classes > 0
+    assert all(0 <= value < modulus for value in report.surviving_products)
+
+
+def test_residue_obstruction_factors_over_crt_components_at_the_limit():
+    whole = residue_obstruction(R1, 9998)
+    two, odd = residue_obstruction(R1, 2), residue_obstruction(R1, 4999)
+    assert whole.survivor_classes == two.survivor_classes * odd.survivor_classes
+    assert {value % 2 for value in whole.surviving_products} == set(two.surviving_products)
+    assert {value % 4999 for value in whole.surviving_products} == set(odd.surviving_products)
+    assert whole.forced is (two.forced and odd.forced)
+
+
+@pytest.mark.parametrize("prime", [41, 9973])
+def test_surviving_products_are_closed_under_unit_squares(prime):
+    # Scaling a survivor by a unit t multiplies its product by t^2. The unit
+    # squares mod a prime are the powers of g^2 for a primitive root g, so
+    # closure under g^2 is closure under all of them. Mod 41 the survivors
+    # of R1 carry 0 and the 20 squares only.
+    g = next(
+        g
+        for g in range(2, prime)
+        if all(pow(g, (prime - 1) // q, prime) != 1 for q, _ in factorize(prime - 1))
+    )
+    products = set(residue_obstruction(R1, prime).surviving_products)
+    assert {value * g * g % prime for value in products} == products
+    if prime == 41:
+        assert products == {t * t % prime for t in range(prime)}
 
 
 @pytest.mark.parametrize("modulus", [1, 0, -3, 10**4 + 1])

@@ -333,6 +333,16 @@ def test_quartic_scan_matches_grid_oracle_past_chunk_and_period_edges(require_co
         _assert_quartic_scan_matches_oracle(eq, 140, require_coprime, include_trivial=True)
 
 
+@pytest.mark.parametrize("require_coprime", [True, False])
+def test_quartic_scan_matches_grid_oracle_where_moduli_meet_the_width(require_coprime):
+    # A modulus below bound + 1 is packed up front and one at or above it
+    # row by row; bounds m - 1 and m put each modulus on either side.
+    bounds = sorted({b for m in _SIEVE_MODULI for b in (m - 1, m)})
+    for bound in bounds:
+        for eq in (*(entry.equation for entry in list_catalog()), *_SIEVE_PROBES):
+            _assert_quartic_scan_matches_oracle(eq, bound, require_coprime, include_trivial=True)
+
+
 def test_sieve_leaves_few_cells_for_eval_quartic(monkeypatch):
     # The sieve leaves 26 cells here and its mod-64 table alone 374 602,
     # so a weakened sieve fails this test instead of showing only as a
