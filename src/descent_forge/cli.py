@@ -85,7 +85,7 @@ def build_parser() -> _Parser:
         action="store_false",
         help="drop the gcd(x, y) = 1 filter (quartic targets only)",
     )
-    sub.add_argument("--threads", type=int, default=None, help="worker cap (default: env or 1)")
+    sub.add_argument("--threads", type=int, default=None, help="validated only; scans run on one thread")
     sub.set_defaults(handler=_cmd_search)
 
     sub = add("reduce", "map a quartic solution down to its resolvent")
@@ -122,7 +122,7 @@ def build_parser() -> _Parser:
         default=search.DEFAULT_RESOLVENT_BOUND,
         help="resolvent grid bound",
     )
-    sub.add_argument("--threads", type=int, default=None, help="worker cap (default: env or 1)")
+    sub.add_argument("--threads", type=int, default=None, help="validated only; scans run on one thread")
     sub.set_defaults(handler=_cmd_verify_table)
 
     sub = add("catalog", "list the equation catalog and the resolvent systems")

@@ -20,16 +20,18 @@ N = l q^2 - n r^2; each of its coprime survivors is rebuilt into at most
 one solution, or into a free (p, s) family when D = N = 0.
 Reports list canonical (componentwise nonnegative) representatives sorted
 lexicographically, plus the total number of signed solutions their
-orbits contain, so results are bit-stable across runs and partitionings.
+orbits contain, so results are bit-stable across runs and thread counts.
 
-Both searches validate the bound and the worker count first, through
-_scan_workers, and only then build any per-scan state; verify_table
-validates both of its bounds before its first scan. Each is a row
-kernel run by one shared engine, _search, which splits rows 0..bound
-into fixed 128-row chunks, merges them in chunk order and assembles the
-SearchReport. The DESCENT_FORGE_THREADS environment variable (default 1)
-caps how many chunks are processed concurrently; the chunk layout does
-not depend on it, so reports are identical at any thread count.
+Both searches check the bound (_check_bound) and the thread count first,
+and only then build any per-scan state; verify_table validates both of
+its bounds before its first scan. Each is a row kernel run by one shared
+loop, _search, over rows 0..bound on the calling thread. The threads
+argument and the DESCENT_FORGE_THREADS environment variable (default 1)
+are accepted and validated for compatibility but start no threads: the
+kernel is CPU-bound Python under one interpreter lock, and on a 2-core
+machine two threads were slower than one (verify_table(10000, 2000)
+1.79 s against 2.22 s, search_quartic(E2, 10000) 0.160 s against
+0.166 s, medians of 5 interleaved runs).
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import math
 import os
 import time
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
@@ -66,6 +67,7 @@ DEFAULT_QUARTIC_BOUND = 100
 DEFAULT_RESOLVENT_BOUND = 60
 THREADS_ENV_VAR = "DESCENT_FORGE_THREADS"
 
+# Sizes only the byte-stable `partitions` report field: rows per block.
 _CHUNK_ROWS = 128
 
 VERDICT_CONSISTENT = "CONSISTENT"
@@ -73,7 +75,8 @@ VERDICT_COUNTEREXAMPLE = "COUNTEREXAMPLE"
 
 
 def thread_count(explicit: int | None = None) -> int:
-    """Resolve the worker cap: explicit argument, else env var, else 1."""
+    """Resolve and validate the thread count: explicit argument, else env
+    var, else 1. Scans run on one thread whatever it is."""
     if explicit is not None:
         value = explicit
     else:
@@ -121,20 +124,9 @@ class SearchReport:
         return out
 
 
-def _run_chunks(worker, chunks: list[range], threads: int):
-    # More workers than chunks would only idle; one chunk runs inline.
-    workers = min(threads, len(chunks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, chunks))
-    return [worker(chunk) for chunk in chunks]
-
-
-def _scan_workers(kind: str, bound: int, limit: int, threads: int | None) -> int:
-    """Validate a scan's bound and return its worker count."""
+def _check_bound(kind: str, bound: int, limit: int) -> None:
     if not 1 <= bound <= limit:
         raise BoundExceeded(f"{kind} bound {bound} outside [1, {limit}]")
-    return thread_count(threads)
 
 
 def _search(
@@ -144,35 +136,21 @@ def _search(
     *,
     require_coprime: bool,
     include_trivial: bool,
-    workers: int,
 ) -> SearchReport:
-    """Shared chunk engine: run row_kernel over rows 0..bound and merge.
+    """Shared scan loop: run row_kernel over rows 0..bound and report.
 
     row_kernel(x) yields (solution, orbit size, trivial) for every
     canonical solution in row x. Every orbit is counted; trivial solutions
     are listed only when include_trivial is set.
     """
     start = time.perf_counter()
-
-    def scan(rows: range) -> tuple[list[tuple[int, ...]], int]:
-        found: list[tuple[int, ...]] = []
-        orbits = 0
-        for x in rows:
-            for solution, orbit_size, trivial in row_kernel(x):
-                orbits += orbit_size
-                if include_trivial or not trivial:
-                    found.append(solution)
-        return found, orbits
-
-    chunks = [
-        range(first, min(first + _CHUNK_ROWS, bound + 1))
-        for first in range(0, bound + 1, _CHUNK_ROWS)
-    ]
     solutions: list[tuple[int, ...]] = []
     orbit_count = 0
-    for found, orbits in _run_chunks(scan, chunks, workers):
-        solutions.extend(found)
-        orbit_count += orbits
+    for x in range(bound + 1):
+        for solution, orbit_size, trivial in row_kernel(x):
+            orbit_count += orbit_size
+            if include_trivial or not trivial:
+                solutions.append(solution)
     elapsed = (time.perf_counter() - start) * 1000.0
     return SearchReport(
         target_id=target_id,
@@ -181,7 +159,7 @@ def _search(
         include_trivial=include_trivial,
         solutions=tuple(sorted(solutions)),
         orbit_count=orbit_count,
-        partitions=len(chunks),
+        partitions=-(-(bound + 1) // _CHUNK_ROWS),
         elapsed_ms=elapsed,
     )
 
@@ -231,8 +209,7 @@ def _quartic_rows(eq: QuarticEquation, bound: int, require_coprime: bool):
     """The sieved row kernel of a quartic scan over 0 <= y <= bound.
 
     For each modulus m below bound + 1, each table row of _sieve_tables is
-    repeated to bound + 1 bytes and packed into an int once per scan; that
-    state is only read afterwards, so chunks may share it across threads.
+    repeated to bound + 1 bytes and packed into an int once per scan.
     Row x ANDs the ints for x mod m over those moduli and then, for each
     larger modulus, its table row x packed on the spot; it stops at the
     first zero and walks the y whose byte survived. A small scan thus
@@ -301,10 +278,11 @@ def search_quartic(
     to the coprimality option), so a scan that finds nothing but trivial
     orbits still reports their total size.
     """
-    workers = _scan_workers("quartic", bound, QUARTIC_BOUND_LIMIT, threads)
+    _check_bound("quartic", bound, QUARTIC_BOUND_LIMIT)
+    thread_count(threads)
     return _search(
         eq.id, bound, _quartic_rows(eq, bound, require_coprime),
-        require_coprime=require_coprime, include_trivial=include_trivial, workers=workers,
+        require_coprime=require_coprime, include_trivial=include_trivial,
     )
 
 
@@ -331,7 +309,8 @@ def search_resolvent(
     Coprimality is part of solution-hood here, so there is no coprimality
     option.
     """
-    workers = _scan_workers("resolvent", bound, RESOLVENT_BOUND_LIMIT, threads)
+    _check_bound("resolvent", bound, RESOLVENT_BOUND_LIMIT)
+    thread_count(threads)
     m, n, k, l = system.m, system.n, system.k, system.l
     resolvent_quartic = QuarticEquation(system.id, m * l, -(m * n + k * l), k * n, 1, 2)
     quartic_row = _quartic_rows(resolvent_quartic, bound, require_coprime=True)
@@ -360,7 +339,7 @@ def search_resolvent(
 
     return _search(
         system.id, bound, row,
-        require_coprime=True, include_trivial=include_trivial, workers=workers,
+        require_coprime=True, include_trivial=include_trivial,
     )
 
 
@@ -441,9 +420,11 @@ def verify_table(
     is consistent when its nontrivial scan comes back empty.
     """
     # Refuse a bad bound before the first scan, not after the quartic ones.
+    # Each scan still gets the resolved count, which traces of its
+    # arguments (bench/tracer.py) report as its worker count.
     workers = thread_count(threads)
-    _scan_workers("quartic", quartic_bound, QUARTIC_BOUND_LIMIT, workers)
-    _scan_workers("resolvent", resolvent_bound, RESOLVENT_BOUND_LIMIT, workers)
+    _check_bound("quartic", quartic_bound, QUARTIC_BOUND_LIMIT)
+    _check_bound("resolvent", resolvent_bound, RESOLVENT_BOUND_LIMIT)
     outcomes = [
         _quartic_outcome(entry.equation, quartic_bound, workers)
         for entry in list_catalog()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from itertools import product
 
 import pytest
@@ -326,8 +327,8 @@ def test_square_flag_tables_match_brute_force(modulus):
 
 @pytest.mark.parametrize("require_coprime", [True, False])
 def test_quartic_scan_matches_grid_oracle_past_chunk_and_period_edges(require_coprime):
-    # Bound 140 is past the 128-row chunk edge and past every sieve
-    # modulus, so each table row is repeated and split across chunks.
+    # Bound 140 is past the 128-row block edge and past every sieve
+    # modulus, so each table row is repeated across the width.
     assert 140 >= max(_SIEVE_MODULI) and 140 > search._CHUNK_ROWS
     for eq in (*(entry.equation for entry in list_catalog()), *_SIEVE_PROBES):
         _assert_quartic_scan_matches_oracle(eq, 140, require_coprime, include_trivial=True)
@@ -391,7 +392,7 @@ def test_quartic_outcome_scans_once_and_matches_two_scans(eq_id, monkeypatch):
 
 
 def test_reports_are_identical_across_partitionings_and_threads():
-    # Bound 200 spans two row chunks, so the merge path is exercised.
+    # Bound 200 spans two 128-row blocks; no thread count changes a report.
     eq = equation_by_id("E4")
     base = search_quartic(eq, 200, include_trivial=True)
     assert base.partitions == 2
@@ -402,6 +403,32 @@ def test_reports_are_identical_across_partitionings_and_threads():
     resolvent_base = search_resolvent(R1, 150, include_trivial=True)
     resolvent_threaded = search_resolvent(R1, 150, include_trivial=True, threads=4)
     assert resolvent_base.to_dict() == resolvent_threaded.to_dict()
+
+
+def test_thread_count_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a search started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    eq = equation_by_id("E4")
+    assert (
+        search_quartic(eq, 300, include_trivial=True, threads=4).to_dict()
+        == search_quartic(eq, 300, include_trivial=True, threads=1).to_dict()
+    )
+    assert (
+        search_resolvent(R1, 300, include_trivial=True, threads=4).to_dict()
+        == search_resolvent(R1, 300, include_trivial=True, threads=1).to_dict()
+    )
+
+
+@pytest.mark.parametrize("bound", [1, 126, 127, 128, 255, 256, 10_000])
+def test_partitions_count_128_row_blocks(bound):
+    # The count the field has always reported: one per 128-row block of
+    # rows 0..bound.
+    expected = len(range(0, bound + 1, 128))
+    assert search_quartic(equation_by_id("E2"), bound).partitions == expected
+    if bound <= RESOLVENT_BOUND_LIMIT:
+        assert search_resolvent(R1, bound).partitions == expected
 
 
 def test_report_serialization_shape():
