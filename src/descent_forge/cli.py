@@ -6,6 +6,17 @@ canonical (sorted keys, compact separators, trailing newline) so repeated
 runs are byte-comparable. Exit statuses: 0 success or CONSISTENT, 1 usage
 error (including inputs outside an operation's domain), 2 COUNTEREXAMPLE
 or StageFailure, 3 broken internal invariant.
+
+Each ``main`` call builds its own argparse tree and drops it on return.
+When the first argument is a command name, the tree holds only that
+command's subparser (2 parsers instead of 8); building the other six was
+most of the cost of a short call. The output is the same, because argparse
+consults no other subparser once the command is named. Anything else (no
+argument, ``--help``, an unknown command, a leading option) gets the full
+tree. There is deliberately no once-per-process parser cache: a cached
+tree leaves the collector no garbage per call, and in the benchmark's
+closed loop that makes full collections so rare that reference cycles the
+harness keeps pile up and raise peak memory (ROADMAP, item 4).
 """
 
 from __future__ import annotations
@@ -56,26 +67,7 @@ def _require_arity(values: tuple[int, ...], arity: int) -> tuple[int, ...]:
     return values
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="descent-forge", description=__doc__.splitlines()[0])
-    commands = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        sub = commands.add_parser(name, help=help_text)
-        sub.add_argument(
-            "--format",
-            choices=("json", "csv", "text"),
-            default="json",
-            help="output document format (default json)",
-        )
-        sub.add_argument(
-            "--timing",
-            action="store_true",
-            help="include elapsed_ms in reports (off by default for byte-stable output)",
-        )
-        return sub
-
-    sub = add("search", "bounded exhaustive search on one catalog or resolvent target")
+def _search_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--target", required=True, help="equation or resolvent id, e.g. E2 or R1")
     sub.add_argument("--bound", type=int, default=None, help="grid bound (defaults: quartic 100, resolvent 60)")
     sub.add_argument("--include-trivial", action="store_true", help="list trivial solutions too")
@@ -88,22 +80,26 @@ def build_parser() -> _Parser:
     sub.add_argument("--threads", type=int, default=None, help="validated only; scans run on one thread")
     sub.set_defaults(handler=_cmd_search)
 
-    sub = add("reduce", "map a quartic solution down to its resolvent")
+
+def _reduce_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--target", required=True, choices=("E2", "E4"))
     sub.add_argument("--tuple", required=True, type=_tuple_arg, dest="values", metavar="X,Y,Z")
     sub.set_defaults(handler=_cmd_reduce)
 
-    sub = add("lift", "map a resolvent solution up to a quartic solution")
+
+def _lift_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--target", required=True, choices=("E2", "E4"))
     sub.add_argument("--tuple", required=True, type=_tuple_arg, dest="values", metavar="X,Y,XP,YP")
     sub.set_defaults(handler=_cmd_lift)
 
-    sub = add("descend", "run the descent chain on a resolvent solution")
+
+def _descend_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--target", default="R1", help="resolvent id (only R1 is supported)")
     sub.add_argument("--tuple", required=True, type=_tuple_arg, dest="values", metavar="X,Y,XP,YP")
     sub.set_defaults(handler=_cmd_descend)
 
-    sub = add("residues", "residue-class obstruction analysis for a resolvent")
+
+def _residues_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--target", required=True, help="resolvent id, e.g. R1")
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--modulus", type=int, help="single modulus to analyze")
@@ -114,7 +110,8 @@ def build_parser() -> _Parser:
     )
     sub.set_defaults(handler=_cmd_residues)
 
-    sub = add("verify-table", "scan every catalog target and report verdicts")
+
+def _verify_table_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--bound", type=int, default=search.DEFAULT_QUARTIC_BOUND, help="quartic grid bound")
     sub.add_argument(
         "--resolvent-bound",
@@ -125,9 +122,52 @@ def build_parser() -> _Parser:
     sub.add_argument("--threads", type=int, default=None, help="validated only; scans run on one thread")
     sub.set_defaults(handler=_cmd_verify_table)
 
-    sub = add("catalog", "list the equation catalog and the resolvent systems")
+
+def _catalog_arguments(sub: argparse.ArgumentParser) -> None:
     sub.set_defaults(handler=_cmd_catalog)
 
+
+# Command name -> (help text, function adding the command's own arguments),
+# in the order the top-level help lists them.
+_COMMANDS = {
+    "search": ("bounded exhaustive search on one catalog or resolvent target", _search_arguments),
+    "reduce": ("map a quartic solution down to its resolvent", _reduce_arguments),
+    "lift": ("map a resolvent solution up to a quartic solution", _lift_arguments),
+    "descend": ("run the descent chain on a resolvent solution", _descend_arguments),
+    "residues": ("residue-class obstruction analysis for a resolvent", _residues_arguments),
+    "verify-table": ("scan every catalog target and report verdicts", _verify_table_arguments),
+    "catalog": ("list the equation catalog and the resolvent systems", _catalog_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """Build the argument parser, fresh on every call (the module docstring
+    says why nothing is cached).
+
+    With no argument the tree holds all seven subcommands. With a command
+    name it holds only that one, under the same top-level parser: once the
+    first argument names a command argparse consults only that subparser,
+    and the top-level usage line (``descent-forge [-h] command ...``) names
+    no subcommand, so status, stdout and stderr are the same as with the
+    full tree. An unknown name raises ``KeyError``.
+    """
+    parser = _Parser(prog="descent-forge", description=__doc__.splitlines()[0])
+    commands = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_arguments = _COMMANDS[name]
+        sub = commands.add_parser(name, help=help_text)
+        sub.add_argument(
+            "--format",
+            choices=("json", "csv", "text"),
+            default="json",
+            help="output document format (default json)",
+        )
+        sub.add_argument(
+            "--timing",
+            action="store_true",
+            help="include elapsed_ms in reports (off by default for byte-stable output)",
+        )
+        add_arguments(sub)
     return parser
 
 
@@ -328,7 +368,9 @@ def _render(document: dict, fmt: str, command: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -224,3 +225,72 @@ def test_importing_the_package_builds_no_parser():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "0"]
+
+
+_FORMATS = ("json", "csv", "text")
+_COMMAND_NAMES = ("search", "reduce", "lift", "descend", "residues", "verify-table", "catalog")
+_COMMAND_ARGVS = (
+    ["search", "--target", "E3", "--bound", "20", "--include-trivial"],
+    ["search", "--target", "R1", "--bound", "10", "--include-trivial"],
+    ["reduce", "--target", "E4", "--tuple", "1,0,1"],
+    ["lift", "--target", "E2", "--tuple", "1,0,1,0"],
+    ["descend", "--target", "R1", "--tuple", "1,0,1,0"],
+    ["residues", "--target", "R1", "--modulus", "30"],
+    ["residues", "--target", "R1", "--nu-bound"],
+    ["verify-table", "--bound", "10", "--resolvent-bound", "10"],
+    ["catalog"],
+)
+_USAGE_ARGVS = (
+    [],
+    ["bogus"],
+    ["-h"],
+    ["--help"],
+    *([name, "--help"] for name in _COMMAND_NAMES),
+    ["catalog", "--bogus"],
+    ["catalog", "extra"],
+    ["search"],
+    ["search", "--target", "E1", "--bound", "x"],
+    ["search", "--targ", "E1", "--bound", "5"],
+    ["reduce", "--target", "E9", "--tuple", "1,0,1"],
+    ["reduce", "--target", "E4", "--tuple=a,b"],
+    ["residues", "--target", "R1", "--modulus", "3", "--nu-bound"],
+    ["residues", "--target", "R1"],
+    ["catalog", "--format", "xml"],
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv + ["--format", fmt] for argv in _COMMAND_ARGVS for fmt in _FORMATS] + list(_USAGE_ARGVS),
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_one_command_parser_matches_the_full_tree(capsys, monkeypatch, argv):
+    one_command = run_cli(capsys, argv)
+    full_tree = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_tree())
+    assert run_cli(capsys, argv) == one_command
+
+
+@pytest.mark.parametrize(
+    "argv, parsers",
+    [
+        (["catalog"], 2),
+        (["search", "--target", "E1", "--bound", "5"], 2),
+        ([], 8),
+        (["--help"], 8),
+        (["bogus"], 8),
+    ],
+    ids=lambda value: (" ".join(value) or "no-arguments") if isinstance(value, list) else str(value),
+)
+def test_main_builds_only_the_invoked_command_parser(capsys, monkeypatch, argv, parsers):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.main(argv)
+    capsys.readouterr()
+    assert len(built) == parsers
