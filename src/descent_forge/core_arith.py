@@ -12,9 +12,9 @@ Slow past desk scale, exact everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._value import Frozen, set_field
 from .errors import (
     BoundExceeded,
     DegenerateInput,
@@ -136,19 +136,23 @@ def isqrt_exact(a: int) -> int | None:
     return r if r * r == a else None
 
 
-@dataclass(frozen=True)
-class PythTriple:
+class PythTriple(Frozen):
     """A Pythagorean triple (a, b, c) with optional generator pair.
 
     primitive is true exactly when gcd(a, b) = 1, which for generated
     triples coincides with the generators having opposite parity.
     """
 
-    a: int
-    b: int
-    c: int
-    primitive: bool
-    generators: tuple[int, int] | None = None
+    __slots__ = __match_args__ = ("a", "b", "c", "primitive", "generators")
+
+    def __init__(
+        self, a: int, b: int, c: int, primitive: bool, generators: tuple[int, int] | None = None
+    ) -> None:
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "primitive", primitive)
+        set_field(self, "generators", generators)
 
 
 def pythagorean_compose(u: int, v: int) -> PythTriple:

@@ -23,8 +23,8 @@ a second.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._value import Frozen, Record, set_field
 from .core_arith import coprime_split, factorize, nu, pythagorean_decompose
 from .equations import (
     R1,
@@ -57,8 +57,7 @@ TERMINAL_TRIVIAL_REACHED = "TrivialReached"
 TERMINAL_STAGE_FAILURE = "StageFailure"
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Frozen):
     """Outcome of a residue enumeration for one system and modulus.
 
     forced is true when every surviving residue class has x*y divisible by
@@ -69,12 +68,26 @@ class ObstructionReport:
     integers are constant mod 8 and plain mod-2 residues cannot see that.
     """
 
-    system_id: str
-    modulus: int
-    analysis_modulus: int
-    forced: bool
-    surviving_products: tuple[int, ...]
-    survivor_classes: int
+    __slots__ = __match_args__ = (
+        "system_id", "modulus", "analysis_modulus", "forced",
+        "surviving_products", "survivor_classes",
+    )
+
+    def __init__(
+        self,
+        system_id: str,
+        modulus: int,
+        analysis_modulus: int,
+        forced: bool,
+        surviving_products: tuple[int, ...],
+        survivor_classes: int,
+    ) -> None:
+        set_field(self, "system_id", system_id)
+        set_field(self, "modulus", modulus)
+        set_field(self, "analysis_modulus", analysis_modulus)
+        set_field(self, "forced", forced)
+        set_field(self, "surviving_products", surviving_products)
+        set_field(self, "survivor_classes", survivor_classes)
 
     def to_dict(self) -> dict:
         return {
@@ -200,16 +213,28 @@ def nu_lower_bound(system: ResolventSystem) -> int:
     return sum(1 for modulus in (2, 3) if residue_obstruction(system, modulus).forced)
 
 
-@dataclass(frozen=True)
-class DescentStep:
+class DescentStep(Frozen):
     """One completed descent step with its full bookkeeping."""
 
-    input: ResolventSolution
-    split: tuple[int, int, int, int]
-    inner_solutions: tuple[tuple[int, int], tuple[int, int]]
-    output: ResolventSolution
-    nu_in: int
-    nu_out: int
+    __slots__ = __match_args__ = (
+        "input", "split", "inner_solutions", "output", "nu_in", "nu_out",
+    )
+
+    def __init__(
+        self,
+        input: ResolventSolution,
+        split: tuple[int, int, int, int],
+        inner_solutions: tuple[tuple[int, int], tuple[int, int]],
+        output: ResolventSolution,
+        nu_in: int,
+        nu_out: int,
+    ) -> None:
+        set_field(self, "input", input)
+        set_field(self, "split", split)
+        set_field(self, "inner_solutions", inner_solutions)
+        set_field(self, "output", output)
+        set_field(self, "nu_in", nu_in)
+        set_field(self, "nu_out", nu_out)
 
     def validate(self) -> None:
         """Check the two step invariants: strict descent and output validity."""
@@ -237,11 +262,13 @@ class DescentStep:
         }
 
 
-@dataclass(frozen=True)
-class DescentTerminal:
-    kind: str
-    stage: str | None = None
-    values: dict | None = None
+class DescentTerminal(Frozen):
+    __slots__ = __match_args__ = ("kind", "stage", "values")
+
+    def __init__(self, kind: str, stage: str | None = None, values: dict | None = None) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "stage", stage)
+        set_field(self, "values", values)
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -252,11 +279,18 @@ class DescentTerminal:
         return out
 
 
-@dataclass
-class DescentTrace:
-    source: tuple[int, int, int, int]
-    steps: list[DescentStep] = field(default_factory=list)
-    terminal: DescentTerminal | None = None
+class DescentTrace(Record):
+    __match_args__ = ("source", "steps", "terminal")
+
+    def __init__(
+        self,
+        source: tuple[int, int, int, int],
+        steps: list[DescentStep] | None = None,
+        terminal: DescentTerminal | None = None,
+    ) -> None:
+        self.source = source
+        self.steps = [] if steps is None else steps
+        self.terminal = terminal
 
     def to_dict(self) -> dict:
         return {

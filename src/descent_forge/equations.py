@@ -2,15 +2,17 @@
 
 The catalog lists the quartic families this toolkit knows how to test,
 keyed by stable string ids (E1..E11 plus the non-member control X1), and
-the two quadratic resolvent systems R1 and R2 they reduce to. Solutions
-are small frozen records carrying primitivity and triviality flags.
+the two quadratic resolvent systems R1 and R2 they reduce to. Equations,
+systems and solutions are immutable plain classes on the package's
+slotted Frozen base, each with its own explicit __init__; solutions carry
+primitivity and triviality flags.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._value import Frozen, set_field
 from .core_arith import isqrt_exact
 from .errors import NotAResolventSolution, NotASolution
 
@@ -20,20 +22,20 @@ MEMBER_BOTH = "both"
 MEMBER_NONE = "none"
 
 
-@dataclass(frozen=True)
-class QuarticEquation:
+class QuarticEquation(Frozen):
     """a*x^4 + b*x^2*y^2 + c*y^4 = d*z^e with a != 0, d != 0, e in {2, 4}."""
 
-    id: str
-    a: int
-    b: int
-    c: int
-    d: int
-    e: int
+    __slots__ = __match_args__ = ("id", "a", "b", "c", "d", "e")
 
-    def __post_init__(self) -> None:
-        if self.a == 0 or self.d == 0 or self.e not in (2, 4):
-            raise ValueError(f"malformed equation {self.id}")
+    def __init__(self, id: str, a: int, b: int, c: int, d: int, e: int) -> None:
+        if a == 0 or d == 0 or e not in (2, 4):
+            raise ValueError(f"malformed equation {id}")
+        set_field(self, "id", id)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "d", d)
+        set_field(self, "e", e)
 
     def lhs(self, x: int, y: int) -> int:
         return self.a * x**4 + self.b * x * x * y * y + self.c * y**4
@@ -52,19 +54,19 @@ class QuarticEquation:
         return f"{' '.join(terms)} = {rhs}"
 
 
-@dataclass(frozen=True)
-class ResolventSystem:
+class ResolventSystem(Frozen):
     """m*x^2 + n*y^2 = k*x'^2 + l*y'^2 with x*y = x'*y' and coprime pairs."""
 
-    id: str
-    m: int
-    n: int
-    k: int
-    l: int
+    __slots__ = __match_args__ = ("id", "m", "n", "k", "l")
 
-    def __post_init__(self) -> None:
-        if 0 in (self.m, self.n, self.k, self.l):
-            raise ValueError(f"malformed resolvent system {self.id}: zero coefficient")
+    def __init__(self, id: str, m: int, n: int, k: int, l: int) -> None:
+        if 0 in (m, n, k, l):
+            raise ValueError(f"malformed resolvent system {id}: zero coefficient")
+        set_field(self, "id", id)
+        set_field(self, "m", m)
+        set_field(self, "n", n)
+        set_field(self, "k", k)
+        set_field(self, "l", l)
 
     def form(self) -> str:
         left = f"{_term(self.m, 'x^2', first=True)} {_term(self.n, 'y^2')}"
@@ -80,25 +82,26 @@ def _term(coeff: int, symbol: str, first: bool = False) -> str:
     return f"+ {body}" if coeff > 0 else f"- {body}"
 
 
-@dataclass(frozen=True)
-class QuarticSolution:
+class QuarticSolution(Frozen):
     """Integer point (x, y, z) on a catalog equation.
 
     trivial means x*y = 0 or |x| = |y|; primitive means gcd(x, y) = 1.
     """
 
-    x: int
-    y: int
-    z: int
-    primitive: bool
-    trivial: bool
+    __slots__ = __match_args__ = ("x", "y", "z", "primitive", "trivial")
+
+    def __init__(self, x: int, y: int, z: int, primitive: bool, trivial: bool) -> None:
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "z", z)
+        set_field(self, "primitive", primitive)
+        set_field(self, "trivial", trivial)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
 
 
-@dataclass(frozen=True)
-class ResolventSolution:
+class ResolventSolution(Frozen):
     """Integer point (x, y, xp, yp) on a resolvent system.
 
     trivial means x*y = 0. The side conditions (product equality and
@@ -106,12 +109,15 @@ class ResolventSolution:
     this type always satisfy them.
     """
 
-    system_id: str
-    x: int
-    y: int
-    xp: int
-    yp: int
-    trivial: bool
+    __slots__ = __match_args__ = ("system_id", "x", "y", "xp", "yp", "trivial")
+
+    def __init__(self, system_id: str, x: int, y: int, xp: int, yp: int, trivial: bool) -> None:
+        set_field(self, "system_id", system_id)
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "xp", xp)
+        set_field(self, "yp", yp)
+        set_field(self, "trivial", trivial)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.x, self.y, self.xp, self.yp)
@@ -121,10 +127,12 @@ R1 = ResolventSystem("R1", 1, -1, 1, 1)
 R2 = ResolventSystem("R2", 1, -2, 1, 2)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    equation: QuarticEquation
-    membership: str
+class CatalogEntry(Frozen):
+    __slots__ = __match_args__ = ("equation", "membership")
+
+    def __init__(self, equation: QuarticEquation, membership: str) -> None:
+        set_field(self, "equation", equation)
+        set_field(self, "membership", membership)
 
 
 _CATALOG: tuple[CatalogEntry, ...] = (

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from contextlib import contextmanager
-from typing import Any
 
 
 class DescentForgeError(Exception):
@@ -88,7 +87,7 @@ class StageFailure(DescentForgeError):
     can be reported and audited.
     """
 
-    def __init__(self, stage: str, values: dict[str, Any]):
+    def __init__(self, stage: str, values: dict[str, object]):
         self.stage = stage
         self.values = dict(values)
         detail = ", ".join(f"{key}={value}" for key, value in sorted(self.values.items()))
@@ -96,7 +95,7 @@ class StageFailure(DescentForgeError):
 
 
 @contextmanager
-def stage(name: str, values: dict[str, Any]) -> Iterator[None]:
+def stage(name: str, values: dict[str, object]) -> Iterator[None]:
     """Run a deduction stage, turning a rejected triple or solution record
     into StageFailure(name, values plus "reason").
 

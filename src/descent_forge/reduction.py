@@ -17,8 +17,8 @@ theorems this toolkit audits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._value import Frozen, Record, set_field
 from .core_arith import isqrt_exact, pythagorean_decompose
 from .equations import (
     QuarticSolution,
@@ -51,18 +51,19 @@ KIND_SYMMETRIC_REDUCE = "E4->R1"
 KIND_SYMMETRIC_LIFT = "R1->E4"
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    stage: str
-    inputs: dict[str, int]
-    outputs: dict[str, int]
+class TraceStep(Frozen):
+    __slots__ = __match_args__ = ("stage", "inputs", "outputs")
+
+    def __init__(self, stage: str, inputs: dict[str, int], outputs: dict[str, int]) -> None:
+        set_field(self, "stage", stage)
+        set_field(self, "inputs", inputs)
+        set_field(self, "outputs", outputs)
 
     def to_dict(self) -> dict:
         return {"stage": self.stage, "inputs": dict(self.inputs), "outputs": dict(self.outputs)}
 
 
-@dataclass
-class ReductionTrace:
+class ReductionTrace(Record):
     """Ordered record of the stages one map application went through.
 
     sign_changes holds the multiplier (+1 or -1) applied to each input
@@ -70,11 +71,21 @@ class ReductionTrace:
     recoverable from source and sign_changes.
     """
 
-    kind: str
-    source: tuple[int, ...]
-    sign_changes: dict[str, int]
-    steps: list[TraceStep] = field(default_factory=list)
-    final: QuarticSolution | ResolventSolution | None = None
+    __match_args__ = ("kind", "source", "sign_changes", "steps", "final")
+
+    def __init__(
+        self,
+        kind: str,
+        source: tuple[int, ...],
+        sign_changes: dict[str, int],
+        steps: list[TraceStep] | None = None,
+        final: QuarticSolution | ResolventSolution | None = None,
+    ) -> None:
+        self.kind = kind
+        self.source = source
+        self.sign_changes = sign_changes
+        self.steps = [] if steps is None else steps
+        self.final = final
 
     def add(self, stage: str, inputs: dict[str, int], outputs: dict[str, int]) -> None:
         self.steps.append(TraceStep(stage, dict(inputs), dict(outputs)))

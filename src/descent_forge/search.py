@@ -40,10 +40,10 @@ import math
 import os
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 
+from ._value import Frozen, set_field
 from .equations import (
     QuarticEquation,
     ResolventSystem,
@@ -94,18 +94,33 @@ def thread_count(explicit: int | None = None) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(Frozen):
     """Canonical outcome of one bounded search."""
 
-    target_id: str
-    bound: int
-    require_coprime: bool
-    include_trivial: bool
-    solutions: tuple[tuple[int, ...], ...]
-    orbit_count: int
-    partitions: int
-    elapsed_ms: float
+    __slots__ = __match_args__ = (
+        "target_id", "bound", "require_coprime", "include_trivial",
+        "solutions", "orbit_count", "partitions", "elapsed_ms",
+    )
+
+    def __init__(
+        self,
+        target_id: str,
+        bound: int,
+        require_coprime: bool,
+        include_trivial: bool,
+        solutions: tuple[tuple[int, ...], ...],
+        orbit_count: int,
+        partitions: int,
+        elapsed_ms: float,
+    ) -> None:
+        set_field(self, "target_id", target_id)
+        set_field(self, "bound", bound)
+        set_field(self, "require_coprime", require_coprime)
+        set_field(self, "include_trivial", include_trivial)
+        set_field(self, "solutions", solutions)
+        set_field(self, "orbit_count", orbit_count)
+        set_field(self, "partitions", partitions)
+        set_field(self, "elapsed_ms", elapsed_ms)
 
     def to_dict(self, include_timing: bool = False) -> dict:
         out = {
@@ -343,14 +358,22 @@ def search_resolvent(
     )
 
 
-@dataclass(frozen=True)
-class VerifyOutcome:
+class VerifyOutcome(Frozen):
     """Verdict for one verify-table target."""
 
-    target_id: str
-    report: SearchReport
-    verdict: str
-    cross_checks: tuple[dict, ...] = ()
+    __slots__ = __match_args__ = ("target_id", "report", "verdict", "cross_checks")
+
+    def __init__(
+        self,
+        target_id: str,
+        report: SearchReport,
+        verdict: str,
+        cross_checks: tuple[dict, ...] = (),
+    ) -> None:
+        set_field(self, "target_id", target_id)
+        set_field(self, "report", report)
+        set_field(self, "verdict", verdict)
+        set_field(self, "cross_checks", cross_checks)
 
     def to_dict(self, include_timing: bool = False) -> dict:
         return {
@@ -397,7 +420,10 @@ def _quartic_outcome(eq: QuarticEquation, bound: int, threads: int) -> VerifyOut
     if checked:
         cross_checks = tuple(_cross_check(eq.id, *sol) for sol in report.solutions)
         nontrivial = tuple(sol for sol in report.solutions if not is_trivial(sol[0], sol[1]))
-        report = replace(report, include_trivial=False, solutions=nontrivial)
+        report = SearchReport(
+            report.target_id, report.bound, report.require_coprime, False,
+            nontrivial, report.orbit_count, report.partitions, report.elapsed_ms,
+        )
     consistent = not report.solutions and all(check["ok"] for check in cross_checks)
     return VerifyOutcome(
         target_id=eq.id,

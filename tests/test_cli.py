@@ -6,6 +6,7 @@ import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +226,33 @@ def test_importing_the_package_builds_no_parser():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "0"]
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import descent_forge; descent_forge.list_catalog()",
+        "from descent_forge import cli; cli.main(['catalog'])",
+    ],
+)
+def test_start_up_imports_no_heavy_stdlib_module(code):
+    # -I ignores PYTHONPATH, so the code puts the package's directory on
+    # sys.path itself. Modules the bare interpreter already has (site may
+    # load typing through a .pth file) are subtracted.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    report = "; print(*sorted(sys.modules))"
+    bare = subprocess.run(
+        [sys.executable, "-I", "-c", "import sys" + report],
+        capture_output=True, text=True, check=True,
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}" + report],
+        capture_output=True, text=True, check=True,
+    )
+    # cli.main prints the catalog first; the module list is the last line.
+    added = set(loaded.stdout.splitlines()[-1].split()) - set(bare.stdout.split())
+    assert "descent_forge.search" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
 
 
 _FORMATS = ("json", "csv", "text")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from descent_forge.core_arith import (
     MILLER_RABIN_LIMIT,
+    PythTriple,
     TRIAL_PRIMALITY_LIMIT,
     _is_strong_probable_prime,
     coprime_split,
@@ -291,3 +292,13 @@ def test_coprime_split_rebuilds_pairwise_coprime_parts(parts):
     if any(math.gcd(a, b) != 1 for a, b in pairs):
         return
     assert coprime_split(p * q, r * s, p * r, q * s) == (p, q, r, s)
+
+
+def test_pyth_triple_value_class(check_value_class):
+    check_value_class(
+        PythTriple,
+        {"a": 3, "b": 4, "c": 5, "primitive": True, "generators": (2, 1)},
+        defaults={"generators": None},
+        repr_text="PythTriple(a=3, b=4, c=5, primitive=True, generators=(2, 1))",
+    )
+    assert pythagorean_compose(2, 1) == PythTriple(3, 4, 5, True, (2, 1))

@@ -21,6 +21,8 @@ from descent_forge.descent import (
     TERMINAL_TRIVIAL_INPUT,
     TERMINAL_TRIVIAL_REACHED,
     DescentStep,
+    DescentTerminal,
+    DescentTrace,
     ObstructionReport,
     descent_chain,
     descent_step,
@@ -454,3 +456,61 @@ def test_descent_chain_step_cap_raises(monkeypatch):
     with pytest.raises(InternalInvariantBroken, match="exceeded 3 steps"):
         descent_chain(*_STAND_IN_POINT, system=_STAND_IN)
     assert len(calls) == 3
+
+
+_TRIVIAL_R1 = ResolventSolution("R1", 1, 0, 1, 0, True)
+
+
+@pytest.mark.parametrize(
+    "cls,values,defaults,repr_text",
+    [
+        (
+            ObstructionReport,
+            {
+                "system_id": "R1", "modulus": 3, "analysis_modulus": 3, "forced": True,
+                "surviving_products": (0,), "survivor_classes": 4,
+            },
+            None,
+            "ObstructionReport(system_id='R1', modulus=3, analysis_modulus=3, forced=True,"
+            " surviving_products=(0,), survivor_classes=4)",
+        ),
+        (
+            DescentStep,
+            {
+                "input": _TRIVIAL_R1, "split": (1, 1, 1, 1), "inner_solutions": ((1, 0), (1, 0)),
+                "output": _TRIVIAL_R1, "nu_in": 2, "nu_out": 1,
+            },
+            None,
+            f"DescentStep(input={_TRIVIAL_R1!r}, split=(1, 1, 1, 1),"
+            f" inner_solutions=((1, 0), (1, 0)), output={_TRIVIAL_R1!r}, nu_in=2, nu_out=1)",
+        ),
+        (
+            DescentTerminal,
+            {"kind": TERMINAL_STAGE_FAILURE, "stage": STAGE_REARRANGE, "values": {"p": 1}},
+            {"stage": None, "values": None},
+            "DescentTerminal(kind='StageFailure', stage='Rearrange', values={'p': 1})",
+        ),
+    ],
+)
+def test_descent_value_classes(check_value_class, cls, values, defaults, repr_text):
+    check_value_class(cls, values, defaults=defaults, repr_text=repr_text)
+
+
+def test_descent_trace_is_a_mutable_record(check_value_class):
+    check_value_class(
+        DescentTrace,
+        {"source": (1, 0, 1, 0), "steps": [], "terminal": DescentTerminal(TERMINAL_TRIVIAL_INPUT)},
+        defaults={"steps": [], "terminal": None},
+        repr_text="DescentTrace(source=(1, 0, 1, 0), steps=[],"
+        " terminal=DescentTerminal(kind='TrivialInput', stage=None, values=None))",
+        frozen=False,
+    )
+
+
+def test_descent_traces_never_share_a_steps_list():
+    first, second = DescentTrace((1, 0, 1, 0)), DescentTrace((1, 0, 1, 0))
+    assert first.steps is not second.steps
+    first.steps.append(None)
+    assert second.steps == [] and first != second
+    assert descent_chain(1, 0, 1, 0) == descent_chain(1, 0, 1, 0)
+    assert residue_obstruction(R1, 3) == residue_obstruction(R1, 3)

@@ -14,7 +14,10 @@ from descent_forge.equations import (
     MEMBER_NONE,
     MEMBER_R1,
     MEMBER_R2,
+    CatalogEntry,
     QuarticEquation,
+    QuarticSolution,
+    ResolventSolution,
     ResolventSystem,
     check_resolvent,
     classify_trivial,
@@ -215,3 +218,48 @@ def test_resolvent_solution_factory():
     assert sol.trivial and sol.as_tuple() == (1, 0, 1, 0)
     with pytest.raises(NotAResolventSolution):
         resolvent_solution(R1, 2, 1, 2, 1)
+
+
+_E2_FIELDS = {"id": "E2", "a": 1, "b": 0, "c": 4, "d": 1, "e": 2}
+_E2_REPR = "QuarticEquation(id='E2', a=1, b=0, c=4, d=1, e=2)"
+
+
+@pytest.mark.parametrize(
+    "cls,values,repr_text",
+    [
+        (QuarticEquation, _E2_FIELDS, _E2_REPR),
+        (
+            ResolventSystem,
+            {"id": "R1", "m": 1, "n": -1, "k": 1, "l": 1},
+            "ResolventSystem(id='R1', m=1, n=-1, k=1, l=1)",
+        ),
+        (
+            QuarticSolution,
+            {"x": 1, "y": 0, "z": 1, "primitive": True, "trivial": True},
+            "QuarticSolution(x=1, y=0, z=1, primitive=True, trivial=True)",
+        ),
+        (
+            ResolventSolution,
+            {"system_id": "R1", "x": 1, "y": 0, "xp": 1, "yp": 0, "trivial": True},
+            "ResolventSolution(system_id='R1', x=1, y=0, xp=1, yp=0, trivial=True)",
+        ),
+        (
+            CatalogEntry,
+            {"equation": QuarticEquation(**_E2_FIELDS), "membership": MEMBER_R1},
+            f"CatalogEntry(equation={_E2_REPR}, membership='R1')",
+        ),
+    ],
+)
+def test_record_value_classes(check_value_class, cls, values, repr_text):
+    check_value_class(cls, values, repr_text=repr_text)
+
+
+def test_catalog_records_equal_freshly_built_ones():
+    assert equation_by_id("E2") == QuarticEquation(**_E2_FIELDS)
+    assert resolvent_by_id("R1") == ResolventSystem("R1", 1, -1, 1, 1)
+    assert list_catalog()[1] == CatalogEntry(QuarticEquation(**_E2_FIELDS), MEMBER_R1)
+    assert eval_quartic(equation_by_id("E2"), 1, 0) == [
+        QuarticSolution(1, 0, -1, True, True),
+        QuarticSolution(1, 0, 1, True, True),
+    ]
+    assert resolvent_solution(R1, 1, 0, 1, 0) == ResolventSolution("R1", 1, 0, 1, 0, True)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from descent_forge import reduction
-from descent_forge.equations import R1, equation_by_id
+from descent_forge.equations import R1, ResolventSolution, equation_by_id
 from descent_forge.errors import (
     InternalInvariantBroken,
     NotAResolventSolution,
@@ -23,6 +23,7 @@ from descent_forge.reduction import (
     STAGE_SQUARE_EXTRACT,
     STAGE_TRIPLE_DECOMPOSE,
     STAGE_TWIN_TRIPLE_DECOMPOSE,
+    ReductionTrace,
     TraceStep,
     _forward_stages,
     backward_lift_biquadratic,
@@ -219,3 +220,33 @@ def test_forward_trace_records_kind_and_signs():
     assert data["final"] == [1, 0, 1, 0]
     assert set(data["sign_changes"]) == {"x", "y", "z"}
     assert all(step["stage"] for step in data["steps"])
+
+
+def test_trace_step_value_class(check_value_class):
+    check_value_class(
+        TraceStep,
+        {"stage": STAGE_ASSEMBLE, "inputs": {"s": 1}, "outputs": {"x": 1}},
+        repr_text="TraceStep(stage='Assemble', inputs={'s': 1}, outputs={'x': 1})",
+    )
+
+
+def test_reduction_trace_is_a_mutable_record(check_value_class):
+    check_value_class(
+        ReductionTrace,
+        {
+            "kind": "E4->R1", "source": (1, 0, 1), "sign_changes": {"x": 1}, "steps": [],
+            "final": ResolventSolution("R1", 1, 0, 1, 0, True),
+        },
+        defaults={"steps": [], "final": None},
+        repr_text="ReductionTrace(kind='E4->R1', source=(1, 0, 1), sign_changes={'x': 1}, steps=[],"
+        " final=ResolventSolution(system_id='R1', x=1, y=0, xp=1, yp=0, trivial=True))",
+        frozen=False,
+    )
+
+
+def test_reduction_traces_never_share_a_steps_list():
+    first = ReductionTrace(KIND_BIQUADRATIC_REDUCE, (1, 0, 1), {})
+    second = ReductionTrace(KIND_BIQUADRATIC_REDUCE, (1, 0, 1), {})
+    first.add(STAGE_ASSEMBLE, {"s": 1}, {"x": 1})
+    assert second.steps == [] and first != second
+    assert sextic_to_resolvent(1, 0, 1) == sextic_to_resolvent(1, 0, 1)

@@ -27,6 +27,8 @@ from descent_forge.search import (
     QUARTIC_BOUND_LIMIT,
     RESOLVENT_BOUND_LIMIT,
     VERDICT_CONSISTENT,
+    SearchReport,
+    VerifyOutcome,
     VERDICT_COUNTEREXAMPLE,
     _SIEVE_MODULI,
     _cross_check,
@@ -520,3 +522,30 @@ def test_refused_quartic_search_builds_no_scan_state():
     with pytest.raises(ValueError):
         search_quartic(fresh, 10, threads=0)
     assert _sieve_tables.cache_info() == before
+
+
+_REPORT_FIELDS = {
+    "target_id": "E2", "bound": 10, "require_coprime": True, "include_trivial": False,
+    "solutions": ((1, 0, 1),), "orbit_count": 4, "partitions": 1, "elapsed_ms": 0.5,
+}
+_REPORT_REPR = (
+    "SearchReport(target_id='E2', bound=10, require_coprime=True, include_trivial=False,"
+    " solutions=((1, 0, 1),), orbit_count=4, partitions=1, elapsed_ms=0.5)"
+)
+
+
+def test_search_report_value_class(check_value_class):
+    check_value_class(SearchReport, _REPORT_FIELDS, repr_text=_REPORT_REPR)
+
+
+def test_verify_outcome_value_class(check_value_class):
+    check_value_class(
+        VerifyOutcome,
+        {
+            "target_id": "E2", "report": SearchReport(**_REPORT_FIELDS),
+            "verdict": VERDICT_CONSISTENT, "cross_checks": ({"ok": True},),
+        },
+        defaults={"cross_checks": ()},
+        repr_text=f"VerifyOutcome(target_id='E2', report={_REPORT_REPR},"
+        " verdict='CONSISTENT', cross_checks=({'ok': True},))",
+    )
