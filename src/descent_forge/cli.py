@@ -7,16 +7,18 @@ runs are byte-comparable. Exit statuses: 0 success or CONSISTENT, 1 usage
 error (including inputs outside an operation's domain), 2 COUNTEREXAMPLE
 or StageFailure, 3 broken internal invariant.
 
-Each ``main`` call builds its own argparse tree and drops it on return.
-When the first argument is a command name, the tree holds only that
-command's subparser (2 parsers instead of 8); building the other six was
-most of the cost of a short call. The output is the same, because argparse
-consults no other subparser once the command is named. Anything else (no
-argument, ``--help``, an unknown command, a leading option) gets the full
-tree. There is deliberately no once-per-process parser cache: a cached
-tree leaves the collector no garbage per call, and in the benchmark's
-closed loop that makes full collections so rare that reference cycles the
-harness keeps pile up and raise peak memory (ROADMAP, item 4).
+Each ``main`` call builds its own argparse parser and drops it on return.
+When the first argument is a command name, that parser is the command's
+own (1 parser instead of the full tree's 8), and ``main`` hands it the
+rest of the arguments exactly as argparse's subparsers action would;
+building the other parsers was most of the cost of a short call. Anything
+else (no argument, ``--help``, an unknown command, a leading option) and
+a named command that leaves arguments unrecognized get the full tree, so
+its usage lines and errors are the ones printed. There is deliberately no
+once-per-process parser cache: a cached tree leaves the collector no
+garbage per call, and in the benchmark's closed loop that makes full
+collections so rare that reference cycles the harness keeps pile up and
+raise peak memory (ROADMAP, item 2).
 """
 
 from __future__ import annotations
@@ -140,35 +142,50 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """Build the argument parser, fresh on every call (the module docstring
-    says why nothing is cached).
+def _add_command_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    parser.add_argument(
+        "--format",
+        choices=("json", "csv", "text"),
+        default="json",
+        help="output document format (default json)",
+    )
+    parser.add_argument(
+        "--timing",
+        action="store_true",
+        help="include elapsed_ms in reports (off by default for byte-stable output)",
+    )
+    _COMMANDS[name][1](parser)
 
-    With no argument the tree holds all seven subcommands. With a command
-    name it holds only that one, under the same top-level parser: once the
-    first argument names a command argparse consults only that subparser,
-    and the top-level usage line (``descent-forge [-h] command ...``) names
-    no subcommand, so status, stdout and stderr are the same as with the
-    full tree. An unknown name raises ``KeyError``.
-    """
+
+def _command_parser(name: str) -> _Parser:
+    """The parser of one command alone, as the full tree's subparsers action
+    would build it (same prog, so the same usage and help), with the
+    ``command`` value that action would set as a default."""
+    parser = _Parser(prog=f"descent-forge {name}")
+    _add_command_arguments(parser, name)
+    parser.set_defaults(command=name)
+    return parser
+
+
+def build_parser() -> _Parser:
+    """Build the full argument tree, all seven subcommands under the
+    top-level parser, fresh on every call (the module docstring says why
+    nothing is cached)."""
     parser = _Parser(prog="descent-forge", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in _COMMANDS if command is None else (command,):
-        help_text, add_arguments = _COMMANDS[name]
-        sub = commands.add_parser(name, help=help_text)
-        sub.add_argument(
-            "--format",
-            choices=("json", "csv", "text"),
-            default="json",
-            help="output document format (default json)",
-        )
-        sub.add_argument(
-            "--timing",
-            action="store_true",
-            help="include elapsed_ms in reports (off by default for byte-stable output)",
-        )
-        add_arguments(sub)
+    for name, (help_text, _) in _COMMANDS.items():
+        _add_command_arguments(commands.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as ``build_parser().parse_args(argv)`` would, building
+    the full tree only when the command's own parser cannot stand in for it."""
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _cmd_search(args) -> tuple[dict, int]:
@@ -285,8 +302,7 @@ def _render_json(document: dict) -> str:
 
 def _csv_rows(document: dict, command: str) -> list[list]:
     if command == "search":
-        width = 4 if document["target"] in _RESOLVENT_IDS else 3
-        header = ["x", "y", "xp", "yp"][:width] if width == 4 else ["x", "y", "z"]
+        header = ["x", "y", "xp", "yp"] if document["target"] in _RESOLVENT_IDS else ["x", "y", "z"]
         return [header] + [list(sol) for sol in document["solutions"]]
     if command == "verify-table":
         rows = [["target", "verdict", "solution_count", "orbit_count"]]
@@ -370,9 +386,8 @@ def _render(document: dict, fmt: str, command: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
