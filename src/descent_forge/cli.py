@@ -30,7 +30,7 @@ import json
 import sys
 
 from . import descent, reduction, search
-from .equations import equation_by_id, list_catalog, resolvent_by_id
+from .equations import equation_by_id, list_catalog, list_resolvents, resolvent_by_id
 from .errors import (
     DescentForgeError,
     InternalInvariantBroken,
@@ -41,10 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FINDING = 2
 EXIT_INVARIANT = 3
-
-_QUARTIC_IDS = tuple(entry.equation.id for entry in list_catalog())
-_RESOLVENT_IDS = ("R1", "R2")
-
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with status 1, not 2."""
@@ -83,16 +79,10 @@ def _search_arguments(sub: argparse.ArgumentParser) -> None:
     sub.set_defaults(handler=_cmd_search)
 
 
-def _reduce_arguments(sub: argparse.ArgumentParser) -> None:
+def _map_arguments(sub: argparse.ArgumentParser, metavar: str) -> None:
     sub.add_argument("--target", required=True, choices=("E2", "E4"))
-    sub.add_argument("--tuple", required=True, type=_tuple_arg, dest="values", metavar="X,Y,Z")
-    sub.set_defaults(handler=_cmd_reduce)
-
-
-def _lift_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--target", required=True, choices=("E2", "E4"))
-    sub.add_argument("--tuple", required=True, type=_tuple_arg, dest="values", metavar="X,Y,XP,YP")
-    sub.set_defaults(handler=_cmd_lift)
+    sub.add_argument("--tuple", required=True, type=_tuple_arg, dest="values", metavar=metavar)
+    sub.set_defaults(handler=_cmd_map)
 
 
 def _descend_arguments(sub: argparse.ArgumentParser) -> None:
@@ -133,8 +123,8 @@ def _catalog_arguments(sub: argparse.ArgumentParser) -> None:
 # in the order the top-level help lists them.
 _COMMANDS = {
     "search": ("bounded exhaustive search on one catalog or resolvent target", _search_arguments),
-    "reduce": ("map a quartic solution down to its resolvent", _reduce_arguments),
-    "lift": ("map a resolvent solution up to a quartic solution", _lift_arguments),
+    "reduce": ("map a quartic solution down to its resolvent", lambda sub: _map_arguments(sub, "X,Y,Z")),
+    "lift": ("map a resolvent solution up to a quartic solution", lambda sub: _map_arguments(sub, "X,Y,XP,YP")),
     "descend": ("run the descent chain on a resolvent solution", _descend_arguments),
     "residues": ("residue-class obstruction analysis for a resolvent", _residues_arguments),
     "verify-table": ("scan every catalog target and report verdicts", _verify_table_arguments),
@@ -188,9 +178,13 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
+def _is_resolvent(target: str) -> bool:
+    return any(system.id == target for system in list_resolvents())
+
+
 def _cmd_search(args) -> tuple[dict, int]:
     target = args.target
-    if target in _RESOLVENT_IDS:
+    if _is_resolvent(target):
         if not args.require_coprime:
             raise ValueError("coprimality is part of resolvent solution-hood; --no-coprime only applies to quartic targets")
         bound = search.DEFAULT_RESOLVENT_BOUND if args.bound is None else args.bound
@@ -213,22 +207,12 @@ def _cmd_search(args) -> tuple[dict, int]:
     return report.to_dict(args.timing), EXIT_OK
 
 
-def _cmd_reduce(args) -> tuple[dict, int]:
-    x, y, z = _require_arity(args.values, 3)
-    if args.target == "E2":
-        _, trace = reduction.forward_reduce_biquadratic(x, y, z)
+def _cmd_map(args) -> tuple[dict, int]:
+    reduce, lift = reduction.maps(args.target)
+    if args.command == "reduce":
+        _, trace = reduce(*_require_arity(args.values, 3))
     else:
-        _, trace = reduction.sextic_to_resolvent(x, y, z)
-    reduction.replay_trace(trace)
-    return trace.to_dict(), EXIT_OK
-
-
-def _cmd_lift(args) -> tuple[dict, int]:
-    x, y, xp, yp = _require_arity(args.values, 4)
-    if args.target == "E2":
-        _, trace = reduction.backward_lift_biquadratic(x, y, xp, yp)
-    else:
-        _, trace = reduction.resolvent_to_sextic(x, y, xp, yp)
+        _, trace = lift(*_require_arity(args.values, 4))
     reduction.replay_trace(trace)
     return trace.to_dict(), EXIT_OK
 
@@ -290,7 +274,7 @@ def _cmd_catalog(args) -> tuple[dict, int]:
                 "coefficients": [system.m, system.n, system.k, system.l],
                 "form": system.form(),
             }
-            for system in (resolvent_by_id("R1"), resolvent_by_id("R2"))
+            for system in list_resolvents()
         ],
     }
     return document, EXIT_OK
@@ -302,7 +286,7 @@ def _render_json(document: dict) -> str:
 
 def _csv_rows(document: dict, command: str) -> list[list]:
     if command == "search":
-        header = ["x", "y", "xp", "yp"] if document["target"] in _RESOLVENT_IDS else ["x", "y", "z"]
+        header = ["x", "y", "xp", "yp"] if _is_resolvent(document["target"]) else ["x", "y", "z"]
         return [header] + [list(sol) for sol in document["solutions"]]
     if command == "verify-table":
         rows = [["target", "verdict", "solution_count", "orbit_count"]]

@@ -45,7 +45,6 @@ from .errors import (
 
 MODULUS_LIMIT = 10**4
 
-STAGE_SPLIT = "Split"
 STAGE_REARRANGE = "Rearrange"
 STAGE_SUM_DIFFERENCE = "SumDifferenceForms"
 STAGE_INNER_TRIPLES = "InnerTriples"
@@ -64,8 +63,9 @@ class ObstructionReport(Frozen):
     the modulus. surviving_products lists the distinct values of x*y mod
     modulus over all survivors. analysis_modulus records the modulus the
     congruences were actually checked at: odd moduli are checked as given,
-    even ones at 2-adic depth 3 (factor 8), because squares of odd
-    integers are constant mod 8 and plain mod-2 residues cannot see that.
+    even ones with their 2-part raised to at least 8 (2-adic depth 3),
+    because squares of odd integers are constant mod 8 and plain mod-2
+    residues cannot see that.
     """
 
     __slots__ = __match_args__ = (
@@ -98,13 +98,6 @@ class ObstructionReport(Frozen):
             "surviving_products": list(self.surviving_products),
             "survivor_classes": self.survivor_classes,
         }
-
-
-def _analysis_modulus(modulus: int) -> int:
-    two_adic = (modulus & -modulus).bit_length() - 1
-    if two_adic == 0:
-        return modulus
-    return modulus << max(0, 3 - two_adic)
 
 
 def _component_survivors(
@@ -177,9 +170,10 @@ def residue_obstruction(system: ResolventSystem, modulus: int) -> ObstructionRep
         raise BoundExceeded(f"modulus {modulus} outside [2, {MODULUS_LIMIT}]")
     survivor_classes = 1
     surviving = {0}
-    combined = 1
+    combined = analysis_modulus = 1
     for prime, exponent in factorize(modulus):
         depth = max(exponent, 3) if prime == 2 else exponent
+        analysis_modulus *= prime**depth
         reported = prime**exponent
         classes, products = _component_survivors(system, prime, depth, reported)
         survivor_classes *= classes
@@ -195,7 +189,7 @@ def residue_obstruction(system: ResolventSystem, modulus: int) -> ObstructionRep
     return ObstructionReport(
         system_id=system.id,
         modulus=modulus,
-        analysis_modulus=_analysis_modulus(modulus),
+        analysis_modulus=analysis_modulus,
         forced=all(value == 0 for value in surviving),
         surviving_products=tuple(sorted(surviving)),
         survivor_classes=survivor_classes,

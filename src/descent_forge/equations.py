@@ -160,6 +160,11 @@ def list_catalog() -> list[CatalogEntry]:
     return list(_CATALOG)
 
 
+def list_resolvents() -> list[ResolventSystem]:
+    """Both resolvent systems: R1, then R2."""
+    return list(_RESOLVENTS.values())
+
+
 def equation_by_id(eq_id: str) -> QuarticEquation:
     if eq_id not in _EQUATIONS:
         raise KeyError(f"unknown equation id {eq_id!r}")

@@ -7,6 +7,8 @@ Two pairs of maps are implemented, each with a full audit trace:
 * E4 (x^4 + 6x^2y^2 + y^4 = z^2)   <->  R1, via the substitution
   t = x^2 + y^2, s = 2xy and one triple split.
 
+maps(eq_id) returns either pair as (reduce, lift).
+
 Every step a map takes is recorded as (stage, inputs, outputs) so the
 whole derivation replays from the trace alone. On a validated input each
 stage is forced to succeed; a failure is raised as StageFailure with the
@@ -17,6 +19,7 @@ theorems this toolkit audits.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from ._value import Frozen, Record, set_field
 from .core_arith import isqrt_exact, pythagorean_decompose
@@ -31,8 +34,6 @@ from .equations import (
 )
 from .errors import (
     InternalInvariantBroken,
-    NotAResolventSolution,
-    NotASolution,
     NotPrimitive,
     StageFailure,
     TrivialInput,
@@ -122,9 +123,7 @@ def forward_reduce_biquadratic(x: int, y: int, z: int) -> tuple[ResolventSolutio
     NotASolution or NotPrimitive. The pipeline itself is exercised through
     _forward_stages.
     """
-    eq = equation_by_id("E2")
-    if not eq.is_solution(x, y, z):
-        raise NotASolution(f"({x}, {y}, {z}) does not satisfy {eq.form()}")
+    quartic_solution(equation_by_id("E2"), x, y, z)
     if x * y == 0:
         raise TrivialInput(f"({x}, {y}, {z}) is a trivial solution of E2")
     canon, signs = _canonicalize({"x": x, "y": y, "z": z})
@@ -213,8 +212,7 @@ def backward_lift_biquadratic(
 
         (psi*phi)^4 + 4(T*S)^4 = (T^4 + S^4)^2.
     """
-    if not check_resolvent(R1, x, y, xp, yp):
-        raise NotAResolventSolution(f"({x}, {y}, {xp}, {yp}) does not satisfy R1")
+    resolvent_solution(R1, x, y, xp, yp)
     canon, signs = _canonicalize({"x": x, "y": y, "xp": xp, "yp": yp})
     x, y, xp, yp = canon["x"], canon["y"], canon["xp"], canon["yp"]
     trace = ReductionTrace(
@@ -254,10 +252,7 @@ def sextic_to_resolvent(x: int, y: int, z: int) -> tuple[ResolventSolution, Redu
     (u, v, x, y) satisfies R1. Trivial solutions are in the domain and map
     to trivial resolvent solutions.
     """
-    eq = equation_by_id("E4")
-    if not eq.is_solution(x, y, z):
-        raise NotASolution(f"({x}, {y}, {z}) does not satisfy {eq.form()}")
-    if math.gcd(x, y) != 1:
+    if not quartic_solution(equation_by_id("E4"), x, y, z).primitive:
         raise NotPrimitive(f"gcd({x}, {y}) != 1")
     canon, signs = _canonicalize({"x": x, "y": y, "z": z})
     x, y, z = canon["x"], canon["y"], canon["z"]
@@ -296,8 +291,7 @@ def resolvent_to_sextic(
     (xp^2 + yp^2)^2 + 4 (xp*yp)^2 which, on a solution of R1, collapses to
     (x^2 + y^2)^2; its root D completes (xp, yp) to a solution of E4.
     """
-    if not check_resolvent(R1, x, y, xp, yp):
-        raise NotAResolventSolution(f"({x}, {y}, {xp}, {yp}) does not satisfy R1")
+    resolvent_solution(R1, x, y, xp, yp)
     canon, signs = _canonicalize({"x": x, "y": y, "xp": xp, "yp": yp})
     x, y, xp, yp = canon["x"], canon["y"], canon["xp"], canon["yp"]
     trace = ReductionTrace(kind=KIND_SYMMETRIC_LIFT, source=(x, y, xp, yp), sign_changes=signs)
@@ -318,6 +312,19 @@ def resolvent_to_sextic(
     trace.add(STAGE_ASSEMBLE, completed, {"x": xp, "y": yp, "z": d})
     trace.final = result
     return result, trace
+
+
+def maps(eq_id: str) -> tuple[Callable, Callable]:
+    """The (reduce, lift) pair of maps between E2 or E4 and R1.
+
+    The pair is looked up on each call, so a map replaced on this module
+    after import (a tracer's wrapper, a test's stub) is the one returned.
+    """
+    if eq_id == "E2":
+        return forward_reduce_biquadratic, backward_lift_biquadratic
+    if eq_id == "E4":
+        return sextic_to_resolvent, resolvent_to_sextic
+    raise KeyError(f"no reduction maps for equation id {eq_id!r}")
 
 
 def replay_trace(trace: ReductionTrace) -> None:

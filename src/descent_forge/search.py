@@ -51,7 +51,7 @@ from .equations import (
     eval_quartic,
     is_trivial,
     list_catalog,
-    resolvent_by_id,
+    list_resolvents,
 )
 from .errors import (
     BoundExceeded,
@@ -393,14 +393,12 @@ def _cross_check(eq_id: str, x: int, y: int, z: int) -> dict:
         expected = "NotPrimitive"
     else:
         expected = "ok"
+    reduce, lift = reduction.maps(eq_id)
     try:
-        if eq_id == "E2":
-            reduction.forward_reduce_biquadratic(x, y, z)
-        else:
-            result, trace = reduction.sextic_to_resolvent(x, y, z)
-            reduction.replay_trace(trace)
-            lifted, lift_trace = reduction.resolvent_to_sextic(*result.as_tuple())
-            reduction.replay_trace(lift_trace)
+        result, trace = reduce(x, y, z)
+        reduction.replay_trace(trace)
+        _, lift_trace = lift(*result.as_tuple())
+        reduction.replay_trace(lift_trace)
         actual = "ok"
     except TrivialInput:
         actual = "TrivialInput"
@@ -409,6 +407,16 @@ def _cross_check(eq_id: str, x: int, y: int, z: int) -> dict:
     except StageFailure as failure:
         actual = f"StageFailure:{failure.stage}"
     return {"solution": [x, y, z], "expected": expected, "actual": actual, "ok": expected == actual}
+
+
+def _judged(
+    target_id: str, report: SearchReport, cross_checks: tuple[dict, ...] = ()
+) -> VerifyOutcome:
+    """A target is consistent when its nontrivial scan found nothing and
+    every cross-check came out as expected."""
+    consistent = not report.solutions and all(check["ok"] for check in cross_checks)
+    verdict = VERDICT_CONSISTENT if consistent else VERDICT_COUNTEREXAMPLE
+    return VerifyOutcome(target_id, report, verdict, cross_checks)
 
 
 def _quartic_outcome(eq: QuarticEquation, bound: int, threads: int) -> VerifyOutcome:
@@ -424,13 +432,7 @@ def _quartic_outcome(eq: QuarticEquation, bound: int, threads: int) -> VerifyOut
             report.target_id, report.bound, report.require_coprime, False,
             nontrivial, report.orbit_count, report.partitions, report.elapsed_ms,
         )
-    consistent = not report.solutions and all(check["ok"] for check in cross_checks)
-    return VerifyOutcome(
-        target_id=eq.id,
-        report=report,
-        verdict=VERDICT_CONSISTENT if consistent else VERDICT_COUNTEREXAMPLE,
-        cross_checks=cross_checks,
-    )
+    return _judged(eq.id, report, cross_checks)
 
 
 def verify_table(
@@ -455,17 +457,13 @@ def verify_table(
         _quartic_outcome(entry.equation, quartic_bound, workers)
         for entry in list_catalog()
     ]
-    for sys_id in ("R1", "R2"):
-        report = search_resolvent(
-            resolvent_by_id(sys_id), resolvent_bound, include_trivial=False, threads=workers
+    outcomes += [
+        _judged(
+            system.id,
+            search_resolvent(system, resolvent_bound, include_trivial=False, threads=workers),
         )
-        outcomes.append(
-            VerifyOutcome(
-                target_id=sys_id,
-                report=report,
-                verdict=VERDICT_CONSISTENT if not report.solutions else VERDICT_COUNTEREXAMPLE,
-            )
-        )
+        for system in list_resolvents()
+    ]
     return outcomes
 
 

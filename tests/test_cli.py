@@ -63,7 +63,7 @@ def test_reduce_command_rejects_out_of_domain_tuples(capsys):
 
     code, _, err = run_cli(capsys, ["reduce", "--target", "E2", "--tuple", "1,1,2"])
     assert code == 1
-    assert "satisfy" in err
+    assert err == "descent-forge: error: (1, 1, 2) does not satisfy E2: x^4 + 4y^4 = z^2\n"
 
 
 def test_lift_command_traces(capsys):
@@ -157,6 +157,10 @@ def test_tuple_parsing_errors(capsys):
     assert code == 1
     code, _, _ = run_cli(capsys, ["reduce", "--target", "E2", "--tuple", "a,b,c"])
     assert code == 1
+    code, out, err = run_cli(capsys, ["lift", "--target", "E2", "--tuple=1,0,1"])
+    assert (code, out, err) == (1, "", "descent-forge: error: expected 4 comma-separated integers, got 3\n")
+    code, out, err = run_cli(capsys, ["reduce", "--target", "E4", "--tuple=1,0,1,0"])
+    assert (code, out, err) == (1, "", "descent-forge: error: expected 3 comma-separated integers, got 4\n")
 
 
 def test_missing_command_and_help_exit_codes(capsys):
@@ -166,12 +170,23 @@ def test_missing_command_and_help_exit_codes(capsys):
     capsys.readouterr()
 
 
-def test_stage_failure_exits_two_with_error_document(capsys, monkeypatch):
-    def boom(x, y, z):
+@pytest.mark.parametrize(
+    ("command", "target", "attribute", "values"),
+    [
+        ("reduce", "E2", "forward_reduce_biquadratic", "1,0,1"),
+        ("reduce", "E4", "sextic_to_resolvent", "1,0,1"),
+        ("lift", "E2", "backward_lift_biquadratic", "1,0,1,0"),
+        ("lift", "E4", "resolvent_to_sextic", "1,0,0,1"),
+    ],
+)
+def test_stage_failure_exits_two_with_error_document(capsys, monkeypatch, command, target, attribute, values):
+    # The map is replaced on the reduction module after import, as a
+    # tracer's wrapper is, so the command must look it up at call time.
+    def boom(*_):
         raise StageFailure("SquareExtract", {"u": 3, "v": 5})
 
-    monkeypatch.setattr(cli.reduction, "forward_reduce_biquadratic", boom)
-    code, out, err = run_cli(capsys, ["reduce", "--target", "E2", "--tuple", "1,0,1"])
+    monkeypatch.setattr(cli.reduction, attribute, boom)
+    code, out, err = run_cli(capsys, [command, "--target", target, "--tuple", values])
     assert code == 2
     document = json.loads(out)
     assert document["error"] == "StageFailure"

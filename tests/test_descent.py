@@ -93,9 +93,25 @@ def test_obstruction_handles_the_companion_system():
     assert residue_obstruction(R2, 3).forced is True
 
 
+def _oracle_analysis_modulus(modulus: int) -> int:
+    """The modulus with its 2-part, if any, raised to at least 8: odd squares
+    are all 1 mod 8, which plain mod-2 or mod-4 residues cannot see."""
+    two_part = modulus & -modulus
+    return modulus if two_part == 1 else modulus // two_part * max(two_part, 8)
+
+
+_ANALYSIS_MODULI = {2: 8, 4: 8, 6: 24, 8: 8, 9: 9, 16: 16, 8192: 8192, 9998: 39992}
+
+
+@pytest.mark.parametrize(("modulus", "analysis"), _ANALYSIS_MODULI.items())
+def test_analysis_modulus_takes_the_2_part_to_depth_3(modulus, analysis):
+    assert _oracle_analysis_modulus(modulus) == analysis
+    assert residue_obstruction(R1, modulus).analysis_modulus == analysis
+
+
 def _direct_residue_obstruction(system: ResolventSystem, modulus: int) -> ObstructionReport:
     """Oracle: enumerate all deep^2 pair classes mod the analysis modulus."""
-    deep = descent._analysis_modulus(modulus)
+    deep = _oracle_analysis_modulus(modulus)
     primes = [prime for prime, _ in factorize(modulus)]
 
     # Group pairs by (quadratic value, product) mod the analysis modulus;
@@ -171,7 +187,7 @@ def test_residue_obstruction_is_bounded_at_the_modulus_limit(modulus):
     start = time.perf_counter()
     report = residue_obstruction(R1, modulus)
     assert time.perf_counter() - start < 10.0
-    assert report.analysis_modulus == descent._analysis_modulus(modulus)
+    assert report.analysis_modulus == _oracle_analysis_modulus(modulus)
     assert report.survivor_classes > 0
     assert all(0 <= value < modulus for value in report.surviving_products)
 

@@ -24,6 +24,7 @@ from descent_forge.equations import (
     equation_by_id,
     eval_quartic,
     list_catalog,
+    list_resolvents,
     membership_of,
     quartic_solution,
     resolvent_by_id,
@@ -73,6 +74,7 @@ def test_resolvent_constants():
     assert (R2.m, R2.n, R2.k, R2.l) == (1, -2, 1, 2)
     assert resolvent_by_id("R1") is R1
     assert resolvent_by_id("R2") is R2
+    assert list_resolvents() == [R1, R2]
 
 
 @pytest.mark.parametrize("bad_id", ["E0", "E12", "R3", "", "e1"])

@@ -117,6 +117,13 @@ def test_rejected_assembly_is_an_assemble_stage_failure(monkeypatch, reduce_map,
     assert isinstance(info.value.__cause__, rejection)
 
 
+def test_maps_pair_each_mapped_equation_with_its_reduce_and_lift():
+    assert reduction.maps("E2") == (forward_reduce_biquadratic, backward_lift_biquadratic)
+    assert reduction.maps("E4") == (sextic_to_resolvent, resolvent_to_sextic)
+    with pytest.raises(KeyError):
+        reduction.maps("E1")
+
+
 def test_replay_rejects_tampered_outputs():
     _, trace = _forward_stages(1, 0, 1)
     good = trace.steps[0]
