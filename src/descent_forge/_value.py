@@ -1,16 +1,18 @@
 """Plain-class bases for the package's records.
 
 Each record class lists its fields, in constructor order, in
-__match_args__ and writes its own __init__; these bases add equality,
-hashing, immutability and a repr of the form Name(field=value, ...).
-They stand in for dataclasses, whose import (inspect, ast, dis) and
-per-class code generation took most of the package's import time.
+__match_args__, and the values of its trailing optional fields in
+_defaults. Record's one constructor binds arguments to those names;
+these bases also add equality, hashing, immutability and a repr of the
+form Name(field=value, ...). They stand in for dataclasses, whose import
+(inspect, ast, dis) and per-class code generation took most of the
+package's import time.
 """
 
 from __future__ import annotations
 
-# Frozen.__setattr__ refuses every assignment, so a frozen __init__ sets
-# its fields through object's own method, bound once here for speed.
+# Frozen.__setattr__ refuses every assignment, so the constructor sets
+# fields through object's own method, bound once here for speed.
 set_field = object.__setattr__
 
 
@@ -20,6 +22,34 @@ class Record:
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+    # Every instance shares these values, so each must be immutable; a
+    # record that needs a fresh mutable value sets it in its __init__.
+    _defaults: dict[str, object] = {}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        """Bind positional arguments, then keyword arguments, to the
+        fields in __match_args__ order; an unbound field takes its
+        default."""
+        names = self.__match_args__
+        if len(args) > len(names):
+            raise TypeError(
+                f"{type(self).__qualname__}() takes {len(names)} arguments"
+                f" but {len(args)} were given"
+            )
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__qualname__}() missing field {name!r}")
+            set_field(self, name, value)
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = "repeated" if name in names else "unknown"
+            raise TypeError(f"{type(self).__qualname__}() got {problem} field {name!r}")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)

@@ -80,7 +80,7 @@ def _search_arguments(sub: argparse.ArgumentParser) -> None:
 
 
 def _map_arguments(sub: argparse.ArgumentParser, metavar: str) -> None:
-    sub.add_argument("--target", required=True, choices=("E2", "E4"))
+    sub.add_argument("--target", required=True, choices=reduction.MAPPED_IDS)
     sub.add_argument("--tuple", required=True, type=_tuple_arg, dest="values", metavar=metavar)
     sub.set_defaults(handler=_cmd_map)
 
@@ -228,9 +228,9 @@ def _cmd_descend(args) -> tuple[dict, int]:
 def _cmd_residues(args) -> tuple[dict, int]:
     system = resolvent_by_id(args.target)
     if args.nu_bound:
-        bound = descent.nu_lower_bound(system)
-        reports = [descent.residue_obstruction(system, modulus).to_dict() for modulus in (2, 3)]
-        return {"system": system.id, "nu_lower_bound": bound, "reports": reports}, EXIT_OK
+        bound, reports = descent.nu_analysis(system)
+        reports_out = [report.to_dict() for report in reports]
+        return {"system": system.id, "nu_lower_bound": bound, "reports": reports_out}, EXIT_OK
     report = descent.residue_obstruction(system, args.modulus)
     return report.to_dict(), EXIT_OK
 

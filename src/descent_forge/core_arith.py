@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from ._value import Frozen, set_field
+from ._value import Frozen
 from .errors import (
     BoundExceeded,
     DegenerateInput,
@@ -144,15 +144,7 @@ class PythTriple(Frozen):
     """
 
     __slots__ = __match_args__ = ("a", "b", "c", "primitive", "generators")
-
-    def __init__(
-        self, a: int, b: int, c: int, primitive: bool, generators: tuple[int, int] | None = None
-    ) -> None:
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "c", c)
-        set_field(self, "primitive", primitive)
-        set_field(self, "generators", generators)
+    _defaults = {"generators": None}
 
 
 def pythagorean_compose(u: int, v: int) -> PythTriple:

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 
-from ._value import Frozen, Record, set_field
+from ._value import Frozen, Record
 from .core_arith import coprime_split, factorize, nu, pythagorean_decompose
 from .equations import (
     R1,
-    ResolventSolution,
     ResolventSystem,
     check_resolvent,
     resolvent_solution,
@@ -72,22 +71,6 @@ class ObstructionReport(Frozen):
         "system_id", "modulus", "analysis_modulus", "forced",
         "surviving_products", "survivor_classes",
     )
-
-    def __init__(
-        self,
-        system_id: str,
-        modulus: int,
-        analysis_modulus: int,
-        forced: bool,
-        surviving_products: tuple[int, ...],
-        survivor_classes: int,
-    ) -> None:
-        set_field(self, "system_id", system_id)
-        set_field(self, "modulus", modulus)
-        set_field(self, "analysis_modulus", analysis_modulus)
-        set_field(self, "forced", forced)
-        set_field(self, "surviving_products", surviving_products)
-        set_field(self, "survivor_classes", survivor_classes)
 
     def to_dict(self) -> dict:
         return {
@@ -196,15 +179,21 @@ def residue_obstruction(system: ResolventSystem, modulus: int) -> ObstructionRep
     )
 
 
-def nu_lower_bound(system: ResolventSystem) -> int:
-    """Lower bound on nu(x*y) for a hypothetical non-trivial solution.
-
-    Counts the moduli in {2, 3} whose obstruction is forced. Only R1 is
-    supported; the companion system is out of scope for descent.
+def nu_analysis(system: ResolventSystem) -> tuple[int, tuple[ObstructionReport, ...]]:
+    """nu_lower_bound's value together with the mod-2 and mod-3 reports
+    it counts. Only R1 is supported; the companion system is out of scope
+    for descent.
     """
     if system.id != R1.id:
         raise UnsupportedResolvent(f"nu_lower_bound only supports R1, got {system.id}")
-    return sum(1 for modulus in (2, 3) if residue_obstruction(system, modulus).forced)
+    reports = tuple(residue_obstruction(system, modulus) for modulus in (2, 3))
+    return sum(1 for report in reports if report.forced), reports
+
+
+def nu_lower_bound(system: ResolventSystem) -> int:
+    """Lower bound on nu(x*y) for a hypothetical non-trivial solution:
+    the number of moduli in {2, 3} whose obstruction is forced."""
+    return nu_analysis(system)[0]
 
 
 class DescentStep(Frozen):
@@ -213,22 +202,6 @@ class DescentStep(Frozen):
     __slots__ = __match_args__ = (
         "input", "split", "inner_solutions", "output", "nu_in", "nu_out",
     )
-
-    def __init__(
-        self,
-        input: ResolventSolution,
-        split: tuple[int, int, int, int],
-        inner_solutions: tuple[tuple[int, int], tuple[int, int]],
-        output: ResolventSolution,
-        nu_in: int,
-        nu_out: int,
-    ) -> None:
-        set_field(self, "input", input)
-        set_field(self, "split", split)
-        set_field(self, "inner_solutions", inner_solutions)
-        set_field(self, "output", output)
-        set_field(self, "nu_in", nu_in)
-        set_field(self, "nu_out", nu_out)
 
     def validate(self) -> None:
         """Check the two step invariants: strict descent and output validity."""
@@ -258,11 +231,7 @@ class DescentStep(Frozen):
 
 class DescentTerminal(Frozen):
     __slots__ = __match_args__ = ("kind", "stage", "values")
-
-    def __init__(self, kind: str, stage: str | None = None, values: dict | None = None) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "stage", stage)
-        set_field(self, "values", values)
+    _defaults = {"stage": None, "values": None}
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -275,16 +244,12 @@ class DescentTerminal(Frozen):
 
 class DescentTrace(Record):
     __match_args__ = ("source", "steps", "terminal")
+    _defaults = {"steps": None, "terminal": None}
 
-    def __init__(
-        self,
-        source: tuple[int, int, int, int],
-        steps: list[DescentStep] | None = None,
-        terminal: DescentTerminal | None = None,
-    ) -> None:
-        self.source = source
-        self.steps = [] if steps is None else steps
-        self.terminal = terminal
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
+        if self.steps is None:
+            self.steps = []
 
     def to_dict(self) -> dict:
         return {

@@ -4,15 +4,17 @@ The catalog lists the quartic families this toolkit knows how to test,
 keyed by stable string ids (E1..E11 plus the non-member control X1), and
 the two quadratic resolvent systems R1 and R2 they reduce to. Equations,
 systems and solutions are immutable plain classes on the package's
-slotted Frozen base, each with its own explicit __init__; solutions carry
-primitivity and triviality flags.
+slotted Frozen base rather than dataclasses, which were slow to import.
+Each lists its fields once, in __match_args__, and the base's one
+constructor binds them; equations and systems then check their
+coefficients. Solutions carry primitivity and triviality flags.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._value import Frozen, set_field
+from ._value import Frozen
 from .core_arith import isqrt_exact
 from .errors import NotAResolventSolution, NotASolution
 
@@ -27,15 +29,10 @@ class QuarticEquation(Frozen):
 
     __slots__ = __match_args__ = ("id", "a", "b", "c", "d", "e")
 
-    def __init__(self, id: str, a: int, b: int, c: int, d: int, e: int) -> None:
-        if a == 0 or d == 0 or e not in (2, 4):
-            raise ValueError(f"malformed equation {id}")
-        set_field(self, "id", id)
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "c", c)
-        set_field(self, "d", d)
-        set_field(self, "e", e)
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
+        if self.a == 0 or self.d == 0 or self.e not in (2, 4):
+            raise ValueError(f"malformed equation {self.id}")
 
     def lhs(self, x: int, y: int) -> int:
         return self.a * x**4 + self.b * x * x * y * y + self.c * y**4
@@ -59,14 +56,10 @@ class ResolventSystem(Frozen):
 
     __slots__ = __match_args__ = ("id", "m", "n", "k", "l")
 
-    def __init__(self, id: str, m: int, n: int, k: int, l: int) -> None:
-        if 0 in (m, n, k, l):
-            raise ValueError(f"malformed resolvent system {id}: zero coefficient")
-        set_field(self, "id", id)
-        set_field(self, "m", m)
-        set_field(self, "n", n)
-        set_field(self, "k", k)
-        set_field(self, "l", l)
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
+        if 0 in (self.m, self.n, self.k, self.l):
+            raise ValueError(f"malformed resolvent system {self.id}: zero coefficient")
 
     def form(self) -> str:
         left = f"{_term(self.m, 'x^2', first=True)} {_term(self.n, 'y^2')}"
@@ -90,13 +83,6 @@ class QuarticSolution(Frozen):
 
     __slots__ = __match_args__ = ("x", "y", "z", "primitive", "trivial")
 
-    def __init__(self, x: int, y: int, z: int, primitive: bool, trivial: bool) -> None:
-        set_field(self, "x", x)
-        set_field(self, "y", y)
-        set_field(self, "z", z)
-        set_field(self, "primitive", primitive)
-        set_field(self, "trivial", trivial)
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
 
@@ -111,14 +97,6 @@ class ResolventSolution(Frozen):
 
     __slots__ = __match_args__ = ("system_id", "x", "y", "xp", "yp", "trivial")
 
-    def __init__(self, system_id: str, x: int, y: int, xp: int, yp: int, trivial: bool) -> None:
-        set_field(self, "system_id", system_id)
-        set_field(self, "x", x)
-        set_field(self, "y", y)
-        set_field(self, "xp", xp)
-        set_field(self, "yp", yp)
-        set_field(self, "trivial", trivial)
-
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.x, self.y, self.xp, self.yp)
 
@@ -129,10 +107,6 @@ R2 = ResolventSystem("R2", 1, -2, 1, 2)
 
 class CatalogEntry(Frozen):
     __slots__ = __match_args__ = ("equation", "membership")
-
-    def __init__(self, equation: QuarticEquation, membership: str) -> None:
-        set_field(self, "equation", equation)
-        set_field(self, "membership", membership)
 
 
 _CATALOG: tuple[CatalogEntry, ...] = (

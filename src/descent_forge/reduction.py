@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from ._value import Frozen, Record, set_field
+from ._value import Frozen, Record
 from .core_arith import isqrt_exact, pythagorean_decompose
 from .equations import (
     QuarticSolution,
@@ -51,14 +51,12 @@ KIND_BIQUADRATIC_LIFT = "R1->E2"
 KIND_SYMMETRIC_REDUCE = "E4->R1"
 KIND_SYMMETRIC_LIFT = "R1->E4"
 
+# The catalogue equations that maps() pairs with R1.
+MAPPED_IDS = ("E2", "E4")
+
 
 class TraceStep(Frozen):
     __slots__ = __match_args__ = ("stage", "inputs", "outputs")
-
-    def __init__(self, stage: str, inputs: dict[str, int], outputs: dict[str, int]) -> None:
-        set_field(self, "stage", stage)
-        set_field(self, "inputs", inputs)
-        set_field(self, "outputs", outputs)
 
     def to_dict(self) -> dict:
         return {"stage": self.stage, "inputs": dict(self.inputs), "outputs": dict(self.outputs)}
@@ -73,20 +71,12 @@ class ReductionTrace(Record):
     """
 
     __match_args__ = ("kind", "source", "sign_changes", "steps", "final")
+    _defaults = {"steps": None, "final": None}
 
-    def __init__(
-        self,
-        kind: str,
-        source: tuple[int, ...],
-        sign_changes: dict[str, int],
-        steps: list[TraceStep] | None = None,
-        final: QuarticSolution | ResolventSolution | None = None,
-    ) -> None:
-        self.kind = kind
-        self.source = source
-        self.sign_changes = sign_changes
-        self.steps = [] if steps is None else steps
-        self.final = final
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
+        if self.steps is None:
+            self.steps = []
 
     def add(self, stage: str, inputs: dict[str, int], outputs: dict[str, int]) -> None:
         self.steps.append(TraceStep(stage, dict(inputs), dict(outputs)))

@@ -43,7 +43,7 @@ from collections.abc import Callable, Iterable
 from functools import lru_cache
 from itertools import product
 
-from ._value import Frozen, set_field
+from ._value import Frozen
 from .equations import (
     QuarticEquation,
     ResolventSystem,
@@ -101,26 +101,6 @@ class SearchReport(Frozen):
         "target_id", "bound", "require_coprime", "include_trivial",
         "solutions", "orbit_count", "partitions", "elapsed_ms",
     )
-
-    def __init__(
-        self,
-        target_id: str,
-        bound: int,
-        require_coprime: bool,
-        include_trivial: bool,
-        solutions: tuple[tuple[int, ...], ...],
-        orbit_count: int,
-        partitions: int,
-        elapsed_ms: float,
-    ) -> None:
-        set_field(self, "target_id", target_id)
-        set_field(self, "bound", bound)
-        set_field(self, "require_coprime", require_coprime)
-        set_field(self, "include_trivial", include_trivial)
-        set_field(self, "solutions", solutions)
-        set_field(self, "orbit_count", orbit_count)
-        set_field(self, "partitions", partitions)
-        set_field(self, "elapsed_ms", elapsed_ms)
 
     def to_dict(self, include_timing: bool = False) -> dict:
         out = {
@@ -362,18 +342,7 @@ class VerifyOutcome(Frozen):
     """Verdict for one verify-table target."""
 
     __slots__ = __match_args__ = ("target_id", "report", "verdict", "cross_checks")
-
-    def __init__(
-        self,
-        target_id: str,
-        report: SearchReport,
-        verdict: str,
-        cross_checks: tuple[dict, ...] = (),
-    ) -> None:
-        set_field(self, "target_id", target_id)
-        set_field(self, "report", report)
-        set_field(self, "verdict", verdict)
-        set_field(self, "cross_checks", cross_checks)
+    _defaults = {"cross_checks": ()}
 
     def to_dict(self, include_timing: bool = False) -> dict:
         return {
@@ -422,7 +391,7 @@ def _judged(
 def _quartic_outcome(eq: QuarticEquation, bound: int, threads: int) -> VerifyOutcome:
     # E2 and E4 are scanned once with trivial solutions listed: the
     # cross-checks need them, and the report drops them afterwards.
-    checked = eq.id in ("E2", "E4")
+    checked = eq.id in reduction.MAPPED_IDS
     report = search_quartic(eq, bound, require_coprime=True, include_trivial=checked, threads=threads)
     cross_checks: tuple[dict, ...] = ()
     if checked:

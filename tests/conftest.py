@@ -38,10 +38,19 @@ def _check_value_class(cls, values, *, repr_text, defaults=None, frozen=True):
 
     required = [values[name] for name in names if name not in defaults]
     assert [getattr(cls(*required), name) for name in defaults] == list(defaults.values())
+    for name in defaults:
+        # A default value two records share must be immutable.
+        shared = getattr(cls(*required), name)
+        if shared is getattr(cls(*required), name):
+            hash(shared)
     with pytest.raises(TypeError):
         cls(*required[:-1])
     with pytest.raises(TypeError):
         cls(**values, unknown=0)
+    with pytest.raises(TypeError):
+        cls(*values.values(), 0)
+    with pytest.raises(TypeError):
+        cls(values[names[0]], **values)
 
     # Equal field values do not make objects of different classes equal.
     subclass = type(f"{cls.__name__}Copy", (cls,), {"__slots__": ()})

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from descent_forge import cli
+from descent_forge import cli, descent
 from descent_forge.errors import InternalInvariantBroken, StageFailure
 from descent_forge.search import VERDICT_COUNTEREXAMPLE, VerifyOutcome, search_quartic
 from descent_forge.equations import equation_by_id
@@ -109,6 +109,20 @@ def test_residues_command(capsys):
     code, _, err = run_cli(capsys, ["residues", "--target", "R1", "--modulus", "1"])
     assert code == 1
     assert "outside" in err
+
+
+def test_nu_bound_runs_each_residue_analysis_once(capsys, monkeypatch):
+    moduli = []
+    analyse = descent.residue_obstruction
+
+    def counting(system, modulus):
+        moduli.append(modulus)
+        return analyse(system, modulus)
+
+    monkeypatch.setattr(descent, "residue_obstruction", counting)
+    code, out, _ = run_cli(capsys, ["residues", "--target", "R1", "--nu-bound"])
+    assert code == 0 and json.loads(out)["nu_lower_bound"] == 2
+    assert moduli == [2, 3]
 
 
 def test_search_command_formats(capsys):

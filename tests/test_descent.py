@@ -27,6 +27,7 @@ from descent_forge.descent import (
     descent_chain,
     descent_step,
     inner_triples_stage,
+    nu_analysis,
     nu_lower_bound,
     residue_obstruction,
     split_stage,
@@ -239,8 +240,11 @@ def test_obstruction_report_serialization():
 def test_nu_lower_bound_is_two_and_stateless():
     assert nu_lower_bound(R1) == 2
     assert nu_lower_bound(R1) == 2
+    assert nu_analysis(R1) == (2, (residue_obstruction(R1, 2), residue_obstruction(R1, 3)))
     with pytest.raises(UnsupportedResolvent):
         nu_lower_bound(R2)
+    with pytest.raises(UnsupportedResolvent):
+        nu_analysis(R2)
 
 
 def test_split_stage_reproduces_pairwise_coprime_parts():

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from descent_forge import reduction
-from descent_forge.equations import R1, ResolventSolution, equation_by_id
+from descent_forge.equations import R1, ResolventSolution, equation_by_id, list_catalog
 from descent_forge.errors import (
     InternalInvariantBroken,
     NotAResolventSolution,
@@ -118,10 +118,18 @@ def test_rejected_assembly_is_an_assemble_stage_failure(monkeypatch, reduce_map,
 
 
 def test_maps_pair_each_mapped_equation_with_its_reduce_and_lift():
+    assert reduction.MAPPED_IDS == ("E2", "E4")
     assert reduction.maps("E2") == (forward_reduce_biquadratic, backward_lift_biquadratic)
     assert reduction.maps("E4") == (sextic_to_resolvent, resolvent_to_sextic)
-    with pytest.raises(KeyError):
-        reduction.maps("E1")
+
+
+def test_maps_exist_for_the_mapped_ids_alone():
+    for entry in list_catalog():
+        if entry.equation.id in reduction.MAPPED_IDS:
+            assert len(reduction.maps(entry.equation.id)) == 2
+        else:
+            with pytest.raises(KeyError):
+                reduction.maps(entry.equation.id)
 
 
 def test_replay_rejects_tampered_outputs():
