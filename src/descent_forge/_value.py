@@ -1,10 +1,10 @@
-"""Plain-class bases for the package's records.
+"""Plain-class base for the package's records.
 
 Each record class lists its fields, in constructor order, in
 __match_args__, and the values of its trailing optional fields in
-_defaults. Record's one constructor binds arguments to those names;
-these bases also add equality, hashing, immutability and a repr of the
-form Name(field=value, ...). They stand in for dataclasses, whose import
+_defaults. Frozen's one constructor binds arguments to those names; the
+base also adds equality, hashing, immutability and a repr of the form
+Name(field=value, ...). It stands in for dataclasses, whose import
 (inspect, ast, dis) and per-class code generation took most of the
 package's import time.
 """
@@ -16,14 +16,14 @@ from __future__ import annotations
 set_field = object.__setattr__
 
 
-class Record:
-    """Mutable record: equal to a record of the same class with equal
-    fields, and unhashable."""
+class Frozen:
+    """Immutable record: equal to a record of the same class with equal
+    fields, and hashed by its fields. Subclasses declare their fields as
+    __slots__."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
-    # Every instance shares these values, so each must be immutable; a
-    # record that needs a fresh mutable value sets it in its __init__.
+    # Every instance shares these values, so each must be immutable.
     _defaults: dict[str, object] = {}
 
     def __init__(self, *args: object, **kwargs: object) -> None:
@@ -59,19 +59,12 @@ class Record:
             return self._values() == other._values()
         return NotImplemented
 
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
-
-
-class Frozen(Record):
-    """Immutable record, hashed by its fields. Subclasses declare their
-    fields as __slots__."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -221,7 +221,7 @@ def _cmd_descend(args) -> tuple[dict, int]:
     x, y, xp, yp = _require_arity(args.values, 4)
     trace = descent.descent_chain(x, y, xp, yp, system=resolvent_by_id(args.target))
     document = trace.to_dict()
-    failed = trace.terminal is not None and trace.terminal.kind == descent.TERMINAL_STAGE_FAILURE
+    failed = trace.terminal.kind == descent.TERMINAL_STAGE_FAILURE
     return document, EXIT_FINDING if failed else EXIT_OK
 
 

@@ -10,6 +10,7 @@ new solution whose product valuation is strictly smaller. Since no
 non-trivial solution exists, the public entry points reject every real
 input before the pipeline starts; each deduction stage is therefore also
 exposed on its own so the machinery stays testable on synthetic values.
+descent_chain returns the chain as one immutable DescentTrace.
 
 residue_obstruction reconstructs the congruence half of the argument: it
 counts the residue classes compatible with the two defining equations and
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from ._value import Frozen, Record
+from ._value import Frozen
 from .core_arith import coprime_split, factorize, nu, pythagorean_decompose
 from .equations import (
     R1,
@@ -242,20 +243,14 @@ class DescentTerminal(Frozen):
         return out
 
 
-class DescentTrace(Record):
-    __match_args__ = ("source", "steps", "terminal")
-    _defaults = {"steps": None, "terminal": None}
-
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        super().__init__(*args, **kwargs)
-        if self.steps is None:
-            self.steps = []
+class DescentTrace(Frozen):
+    __slots__ = __match_args__ = ("source", "steps", "terminal")
 
     def to_dict(self) -> dict:
         return {
             "source": list(self.source),
             "steps": [step.to_dict() for step in self.steps],
-            "terminal": None if self.terminal is None else self.terminal.to_dict(),
+            "terminal": self.terminal.to_dict(),
         }
 
 
@@ -368,32 +363,33 @@ def descent_chain(
     be rejected. The chain is capped at nu(x*y) + 1 steps; exceeding the
     cap would contradict strict descent and raises InternalInvariantBroken.
     """
-    trace = DescentTrace(source=(x, y, xp, yp))
-    current = trace.source
+    source = current = (x, y, xp, yp)
+    steps: list[DescentStep] = []
     while True:
         try:
             step = descent_step(*current, system=system)
         except (NotASolution, TrivialInput) as rejected:
             non_solution = isinstance(rejected, NotASolution)
             kind = TERMINAL_NON_SOLUTION if non_solution else TERMINAL_TRIVIAL_INPUT
-            trace.terminal = DescentTerminal(kind, values={"input": [x, y, xp, yp]})
-            return trace
+            terminal = DescentTerminal(kind, values={"input": [x, y, xp, yp]})
+            break
         except StageFailure as failure:
-            trace.terminal = DescentTerminal(
+            terminal = DescentTerminal(
                 TERMINAL_STAGE_FAILURE, stage=failure.stage, values=failure.values
             )
-            return trace
-        if not trace.steps:
+            break
+        if not steps:
             cap = nu(x * y) + 1
-        trace.steps.append(step)
+        steps.append(step)
         if step.output.trivial:
-            trace.terminal = DescentTerminal(
+            terminal = DescentTerminal(
                 TERMINAL_TRIVIAL_REACHED,
                 values={"output": list(step.output.as_tuple())},
             )
-            return trace
-        if len(trace.steps) >= cap:
+            break
+        if len(steps) >= cap:
             raise InternalInvariantBroken(
-                f"descent exceeded {cap} steps from {trace.source}"
+                f"descent exceeded {cap} steps from {source}"
             )
         current = step.output.as_tuple()
+    return DescentTrace(source, tuple(steps), terminal)

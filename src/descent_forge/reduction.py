@@ -9,11 +9,11 @@ Two pairs of maps are implemented, each with a full audit trace:
 
 maps(eq_id) returns either pair as (reduce, lift).
 
-Every step a map takes is recorded as (stage, inputs, outputs) so the
-whole derivation replays from the trace alone. On a validated input each
-stage is forced to succeed; a failure is raised as StageFailure with the
-witnessing values, since on a genuine solution it would contradict the
-theorems this toolkit audits.
+Every step a map takes is recorded as (stage, inputs, outputs) in one
+immutable trace, so the whole derivation replays from the trace alone.
+On a validated input each stage is forced to succeed; a failure is
+raised as StageFailure with the witnessing values, since on a genuine
+solution it would contradict the theorems this toolkit audits.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from ._value import Frozen, Record
+from ._value import Frozen
 from .core_arith import isqrt_exact, pythagorean_decompose
 from .equations import (
     QuarticSolution,
@@ -62,7 +62,7 @@ class TraceStep(Frozen):
         return {"stage": self.stage, "inputs": dict(self.inputs), "outputs": dict(self.outputs)}
 
 
-class ReductionTrace(Record):
+class ReductionTrace(Frozen):
     """Ordered record of the stages one map application went through.
 
     sign_changes holds the multiplier (+1 or -1) applied to each input
@@ -70,16 +70,7 @@ class ReductionTrace(Record):
     recoverable from source and sign_changes.
     """
 
-    __match_args__ = ("kind", "source", "sign_changes", "steps", "final")
-    _defaults = {"steps": None, "final": None}
-
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        super().__init__(*args, **kwargs)
-        if self.steps is None:
-            self.steps = []
-
-    def add(self, stage: str, inputs: dict[str, int], outputs: dict[str, int]) -> None:
-        self.steps.append(TraceStep(stage, dict(inputs), dict(outputs)))
+    __slots__ = __match_args__ = ("kind", "source", "sign_changes", "steps", "final")
 
     def to_dict(self) -> dict:
         return {
@@ -87,15 +78,14 @@ class ReductionTrace(Record):
             "source": list(self.source),
             "sign_changes": dict(self.sign_changes),
             "steps": [step.to_dict() for step in self.steps],
-            "final": None if self.final is None else list(self.final.as_tuple()),
+            "final": list(self.final.as_tuple()),
         }
 
 
-def _canonicalize(values: dict[str, int]) -> tuple[dict[str, int], dict[str, int]]:
-    """Componentwise absolute values plus the applied sign multipliers."""
+def _canonicalize(values: dict[str, int]) -> tuple[tuple[int, ...], dict[str, int]]:
+    """Componentwise absolute values, in order, plus the applied signs."""
     signs = {name: (-1 if value < 0 else 1) for name, value in values.items()}
-    canon = {name: abs(value) for name, value in values.items()}
-    return canon, signs
+    return tuple(abs(value) for value in values.values()), signs
 
 
 def forward_reduce_biquadratic(x: int, y: int, z: int) -> tuple[ResolventSolution, ReductionTrace]:
@@ -116,8 +106,7 @@ def forward_reduce_biquadratic(x: int, y: int, z: int) -> tuple[ResolventSolutio
     quartic_solution(equation_by_id("E2"), x, y, z)
     if x * y == 0:
         raise TrivialInput(f"({x}, {y}, {z}) is a trivial solution of E2")
-    canon, signs = _canonicalize({"x": x, "y": y, "z": z})
-    x, y, z = canon["x"], canon["y"], canon["z"]
+    (x, y, z), signs = _canonicalize({"x": x, "y": y, "z": z})
     if math.gcd(x, 2 * y) != 1:
         raise NotPrimitive(f"gcd({x}, 2*{y}) != 1")
     return _forward_stages(x, y, z, signs)
@@ -132,24 +121,18 @@ def _forward_stages(
     but every stage below is forced through by trivial solutions such as
     (1, 0, 1) and must behave identically on them.
     """
-    trace = ReductionTrace(
-        kind=KIND_BIQUADRATIC_REDUCE,
-        source=(x, y, z),
-        sign_changes=signs or {"x": 1, "y": 1, "z": 1},
-    )
-
     a, b = x * x, 2 * y * y
     triple = {"a": a, "b": b, "c": z}
     with stage(STAGE_TRIPLE_DECOMPOSE, triple):
         u, v = pythagorean_decompose(a, b, z)
-    trace.add(STAGE_TRIPLE_DECOMPOSE, triple, {"u": u, "v": v})
+    steps = [TraceStep(STAGE_TRIPLE_DECOMPOSE, triple, {"u": u, "v": v})]
 
     # u*v = y^2 with gcd(u, v) = 1, so each factor is a perfect square.
     s = isqrt_exact(u)
     t = isqrt_exact(v)
     if s is None or t is None:
         raise StageFailure(STAGE_SQUARE_EXTRACT, {"u": u, "v": v})
-    trace.add(STAGE_SQUARE_EXTRACT, {"u": u, "v": v}, {"s": s, "t": t})
+    steps.append(TraceStep(STAGE_SQUARE_EXTRACT, {"u": u, "v": v}, {"s": s, "t": t}))
 
     # x^2 = s^4 - t^4 = (s^2 + t^2)(s^2 - t^2); the factors are coprime
     # (both odd since t is even), so each is a square in its own right.
@@ -164,11 +147,11 @@ def _forward_stages(
     beta = isqrt_exact(diff)
     if alpha is None or beta is None:
         raise StageFailure(STAGE_DIFFERENCE_OF_SQUARES, {"sum": total, "difference": diff})
-    trace.add(
+    steps.append(TraceStep(
         STAGE_DIFFERENCE_OF_SQUARES,
         {"x": x, "s": s, "t": t},
         {"alpha": alpha, "beta": beta},
-    )
+    ))
 
     # alpha^2 = s^2 + t^2 and beta^2 = s^2 - t^2 are primitive triples
     # sharing the legs; their generator pairs are the output.
@@ -177,17 +160,17 @@ def _forward_stages(
         lam, gam = pythagorean_decompose(s, t, alpha)
         lam_p, gam_p = pythagorean_decompose(beta, t, s)
     generators = {"lam": lam, "gam": gam, "lam_p": lam_p, "gam_p": gam_p}
-    trace.add(STAGE_TWIN_TRIPLE_DECOMPOSE, legs, generators)
+    steps.append(TraceStep(STAGE_TWIN_TRIPLE_DECOMPOSE, legs, generators))
 
     with stage(STAGE_ASSEMBLE, generators):
         result = resolvent_solution(R1, lam, gam, lam_p, gam_p)
-    trace.add(
+    steps.append(TraceStep(
         STAGE_ASSEMBLE,
-        generators,
+        dict(generators),
         {"x": result.x, "y": result.y, "xp": result.xp, "yp": result.yp},
-    )
-    trace.final = result
-    return result, trace
+    ))
+    signs = signs or {"x": 1, "y": 1, "z": 1}
+    return result, ReductionTrace(KIND_BIQUADRATIC_REDUCE, (x, y, z), signs, tuple(steps), result)
 
 
 def backward_lift_biquadratic(
@@ -203,25 +186,24 @@ def backward_lift_biquadratic(
         (psi*phi)^4 + 4(T*S)^4 = (T^4 + S^4)^2.
     """
     resolvent_solution(R1, x, y, xp, yp)
-    canon, signs = _canonicalize({"x": x, "y": y, "xp": xp, "yp": yp})
-    x, y, xp, yp = canon["x"], canon["y"], canon["xp"], canon["yp"]
-    trace = ReductionTrace(
-        kind=KIND_BIQUADRATIC_LIFT, source=(x, y, xp, yp), sign_changes=signs
-    )
+    source, signs = _canonicalize({"x": x, "y": y, "xp": xp, "yp": yp})
+    x, y, xp, yp = source
 
     big_t = x * x - y * y
     big_s = 2 * x * y
-    trace.add(
+    steps = [TraceStep(
         STAGE_DIFFERENCE_OF_SQUARES,
         {"x": x, "y": y, "xp": xp, "yp": yp},
         {"T": big_t, "S": big_s},
-    )
+    )]
 
     psi = isqrt_exact(big_t * big_t + big_s * big_s)
     phi = isqrt_exact(big_t * big_t - big_s * big_s)
     if psi is None or phi is None:
         raise StageFailure(STAGE_SQUARE_EXTRACT, {"T": big_t, "S": big_s})
-    trace.add(STAGE_SQUARE_EXTRACT, {"T": big_t, "S": big_s}, {"psi": psi, "phi": phi})
+    steps.append(
+        TraceStep(STAGE_SQUARE_EXTRACT, {"T": big_t, "S": big_s}, {"psi": psi, "phi": phi})
+    )
 
     out_x = psi * phi
     out_y = abs(big_t * big_s)
@@ -229,9 +211,8 @@ def backward_lift_biquadratic(
     roots = {"psi": psi, "phi": phi, "T": big_t, "S": big_s}
     with stage(STAGE_ASSEMBLE, roots):
         result = quartic_solution(equation_by_id("E2"), out_x, out_y, out_z)
-    trace.add(STAGE_ASSEMBLE, roots, {"x": out_x, "y": out_y, "z": out_z})
-    trace.final = result
-    return result, trace
+    steps.append(TraceStep(STAGE_ASSEMBLE, roots, {"x": out_x, "y": out_y, "z": out_z}))
+    return result, ReductionTrace(KIND_BIQUADRATIC_LIFT, source, signs, tuple(steps), result)
 
 
 def sextic_to_resolvent(x: int, y: int, z: int) -> tuple[ResolventSolution, ReductionTrace]:
@@ -244,9 +225,8 @@ def sextic_to_resolvent(x: int, y: int, z: int) -> tuple[ResolventSolution, Redu
     """
     if not quartic_solution(equation_by_id("E4"), x, y, z).primitive:
         raise NotPrimitive(f"gcd({x}, {y}) != 1")
-    canon, signs = _canonicalize({"x": x, "y": y, "z": z})
-    x, y, z = canon["x"], canon["y"], canon["z"]
-    trace = ReductionTrace(kind=KIND_SYMMETRIC_REDUCE, source=(x, y, z), sign_changes=signs)
+    source, signs = _canonicalize({"x": x, "y": y, "z": z})
+    x, y, z = source
 
     t = x * x + y * y
     s = 2 * x * y
@@ -254,22 +234,21 @@ def sextic_to_resolvent(x: int, y: int, z: int) -> tuple[ResolventSolution, Redu
     # excludes: the left side is then 8 mod 16, never a square.
     with stage(STAGE_TRIPLE_DECOMPOSE, {"t": t, "s": s, "z": z}):
         u, v = pythagorean_decompose(t, s, z)
-    trace.add(
+    steps = [TraceStep(
         STAGE_TRIPLE_DECOMPOSE,
         {"t": t, "s": s, "z": z, "x": x, "y": y},
         {"u": u, "v": v},
-    )
+    )]
 
     parts = {"u": u, "v": v, "x": x, "y": y}
     with stage(STAGE_ASSEMBLE, parts):
         result = resolvent_solution(R1, u, v, x, y)
-    trace.add(
+    steps.append(TraceStep(
         STAGE_ASSEMBLE,
         parts,
         {"x": result.x, "y": result.y, "xp": result.xp, "yp": result.yp},
-    )
-    trace.final = result
-    return result, trace
+    ))
+    return result, ReductionTrace(KIND_SYMMETRIC_REDUCE, source, signs, tuple(steps), result)
 
 
 def resolvent_to_sextic(
@@ -282,26 +261,24 @@ def resolvent_to_sextic(
     (x^2 + y^2)^2; its root D completes (xp, yp) to a solution of E4.
     """
     resolvent_solution(R1, x, y, xp, yp)
-    canon, signs = _canonicalize({"x": x, "y": y, "xp": xp, "yp": yp})
-    x, y, xp, yp = canon["x"], canon["y"], canon["xp"], canon["yp"]
-    trace = ReductionTrace(kind=KIND_SYMMETRIC_LIFT, source=(x, y, xp, yp), sign_changes=signs)
+    source, signs = _canonicalize({"x": x, "y": y, "xp": xp, "yp": yp})
+    x, y, xp, yp = source
 
     d_squared = xp**4 + 6 * xp * xp * yp * yp + yp**4
     d = isqrt_exact(d_squared)
     if d is None:
         raise StageFailure(STAGE_SQUARE_EXTRACT, {"xp": xp, "yp": yp, "value": d_squared})
-    trace.add(
+    steps = [TraceStep(
         STAGE_SQUARE_EXTRACT,
         {"xp": xp, "yp": yp, "value": d_squared},
         {"D": d},
-    )
+    )]
 
     completed = {"xp": xp, "yp": yp, "D": d}
     with stage(STAGE_ASSEMBLE, completed):
         result = quartic_solution(equation_by_id("E4"), xp, yp, d)
-    trace.add(STAGE_ASSEMBLE, completed, {"x": xp, "y": yp, "z": d})
-    trace.final = result
-    return result, trace
+    steps.append(TraceStep(STAGE_ASSEMBLE, completed, {"x": xp, "y": yp, "z": d}))
+    return result, ReductionTrace(KIND_SYMMETRIC_LIFT, source, signs, tuple(steps), result)
 
 
 def maps(eq_id: str) -> tuple[Callable, Callable]:
@@ -318,23 +295,30 @@ def maps(eq_id: str) -> tuple[Callable, Callable]:
 
 
 def replay_trace(trace: ReductionTrace) -> None:
-    """Re-derive every step of a trace from its recorded inputs.
+    """Re-derive a trace from its recorded inputs.
 
-    Raises InternalInvariantBroken on the first step whose outputs do not
-    follow from its inputs under the stage's defining identity. A trace
-    that replays cleanly is a complete, checkable derivation.
+    Raises InternalInvariantBroken unless the steps are their kind's stages
+    in order, each step's outputs follow from its inputs under the stage's
+    defining identity, and final holds the last step's outputs.
     """
-    for step in trace.steps:
-        checker = _REPLAY_CHECKS.get((trace.kind, step.stage))
-        if checker is None:
-            raise InternalInvariantBroken(
-                f"no replay rule for stage {step.stage} in {trace.kind}"
-            )
-        if not checker(step.inputs, step.outputs):
+    sequence = _REPLAY_SEQUENCES.get(trace.kind, ())
+    stages = [step.stage for step in trace.steps]
+    expected = [name for name, _ in sequence]
+    if not sequence or stages != expected:
+        raise InternalInvariantBroken(f"stages {stages} of {trace.kind} are not {expected}")
+    for step, (_, check) in zip(trace.steps, sequence):
+        if not check(step.inputs, step.outputs):
             raise InternalInvariantBroken(
                 f"stage {step.stage} of {trace.kind} does not replay: "
                 f"{step.inputs} -> {step.outputs}"
             )
+    final = trace.final.as_tuple()
+    names = ("x", "y", "z") if len(final) == 3 else ("x", "y", "xp", "yp")
+    last = trace.steps[-1].outputs
+    if dict(zip(names, final)) != last:
+        raise InternalInvariantBroken(
+            f"final {final} of {trace.kind} is not its last step's outputs {last}"
+        )
 
 
 def _check_triple_decompose(i: dict, o: dict) -> bool:
@@ -420,17 +404,25 @@ def _check_symmetric_final(i: dict, o: dict) -> bool:
     return (x, y, z) == (i["xp"], i["yp"], i["D"]) and x**4 + 6 * x * x * y * y + y**4 == z * z
 
 
-_REPLAY_CHECKS = {
-    (KIND_BIQUADRATIC_REDUCE, STAGE_TRIPLE_DECOMPOSE): _check_triple_decompose,
-    (KIND_BIQUADRATIC_REDUCE, STAGE_SQUARE_EXTRACT): _check_forward_square_extract,
-    (KIND_BIQUADRATIC_REDUCE, STAGE_DIFFERENCE_OF_SQUARES): _check_forward_difference,
-    (KIND_BIQUADRATIC_REDUCE, STAGE_TWIN_TRIPLE_DECOMPOSE): _check_twin_decompose,
-    (KIND_BIQUADRATIC_REDUCE, STAGE_ASSEMBLE): _check_forward_assemble,
-    (KIND_BIQUADRATIC_LIFT, STAGE_DIFFERENCE_OF_SQUARES): _check_lift_ts,
-    (KIND_BIQUADRATIC_LIFT, STAGE_SQUARE_EXTRACT): _check_lift_square_extract,
-    (KIND_BIQUADRATIC_LIFT, STAGE_ASSEMBLE): _check_lift_assemble,
-    (KIND_SYMMETRIC_REDUCE, STAGE_TRIPLE_DECOMPOSE): _check_triple_decompose,
-    (KIND_SYMMETRIC_REDUCE, STAGE_ASSEMBLE): _check_symmetric_assemble,
-    (KIND_SYMMETRIC_LIFT, STAGE_SQUARE_EXTRACT): _check_symmetric_root,
-    (KIND_SYMMETRIC_LIFT, STAGE_ASSEMBLE): _check_symmetric_final,
+_REPLAY_SEQUENCES = {
+    KIND_BIQUADRATIC_REDUCE: (
+        (STAGE_TRIPLE_DECOMPOSE, _check_triple_decompose),
+        (STAGE_SQUARE_EXTRACT, _check_forward_square_extract),
+        (STAGE_DIFFERENCE_OF_SQUARES, _check_forward_difference),
+        (STAGE_TWIN_TRIPLE_DECOMPOSE, _check_twin_decompose),
+        (STAGE_ASSEMBLE, _check_forward_assemble),
+    ),
+    KIND_BIQUADRATIC_LIFT: (
+        (STAGE_DIFFERENCE_OF_SQUARES, _check_lift_ts),
+        (STAGE_SQUARE_EXTRACT, _check_lift_square_extract),
+        (STAGE_ASSEMBLE, _check_lift_assemble),
+    ),
+    KIND_SYMMETRIC_REDUCE: (
+        (STAGE_TRIPLE_DECOMPOSE, _check_triple_decompose),
+        (STAGE_ASSEMBLE, _check_symmetric_assemble),
+    ),
+    KIND_SYMMETRIC_LIFT: (
+        (STAGE_SQUARE_EXTRACT, _check_symmetric_root),
+        (STAGE_ASSEMBLE, _check_symmetric_final),
+    ),
 }

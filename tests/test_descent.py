@@ -13,6 +13,7 @@ from descent_forge import descent
 from descent_forge.core_arith import coprime_split, factorize
 from descent_forge.descent import (
     MODULUS_LIMIT,
+    STAGE_ASSEMBLE,
     STAGE_INNER_TRIPLES,
     STAGE_REARRANGE,
     STAGE_SUM_DIFFERENCE,
@@ -57,6 +58,7 @@ def test_mod_2_obstruction_is_forced():
 
 def test_mod_3_obstruction_is_forced():
     report = residue_obstruction(R1, 3)
+    assert report == residue_obstruction(R1, 3)
     assert report.forced is True
     assert report.analysis_modulus == 3
     assert report.surviving_products == (0,)
@@ -392,7 +394,10 @@ def test_synthetic_step_rejects_invalid_output():
 
 def test_descent_chain_trivial_input_terminal():
     trace = descent_chain(1, 0, 1, 0)
-    assert trace.steps == []
+    assert trace == descent_chain(1, 0, 1, 0)
+    assert trace.steps == ()
+    with pytest.raises(AttributeError):
+        trace.terminal = None
     assert trace.terminal.kind == TERMINAL_TRIVIAL_INPUT
     data = trace.to_dict()
     assert data["source"] == [1, 0, 1, 0]
@@ -401,7 +406,7 @@ def test_descent_chain_trivial_input_terminal():
 
 def test_descent_chain_non_solution_terminal():
     trace = descent_chain(3, 1, 3, 1)
-    assert trace.steps == []
+    assert trace.steps == ()
     assert trace.terminal.kind == TERMINAL_NON_SOLUTION
 
 
@@ -415,7 +420,7 @@ def test_descent_chain_terminates_on_every_searched_solution():
     for quad in report.solutions:
         trace = descent_chain(*quad)
         assert trace.terminal.kind == TERMINAL_TRIVIAL_INPUT
-        assert trace.steps == []
+        assert trace.steps == ()
 
 
 # R1 has no nontrivial point, so the chain's step-driven paths run on a
@@ -451,12 +456,50 @@ def test_descent_chain_stage_failure_terminal(monkeypatch):
 
     monkeypatch.setattr(descent, "descent_step", failing_step)
     trace = descent_chain(*_STAND_IN_POINT, system=_STAND_IN)
-    assert trace.steps == []
+    assert trace.steps == ()
     assert trace.to_dict()["terminal"] == {
         "kind": TERMINAL_STAGE_FAILURE,
         "stage": STAGE_INNER_TRIPLES,
         "values": {"p": 3, "s": 4, "reason": "not a triple"},
     }
+
+
+def test_descent_chain_runs_the_real_step_on_the_stand_in():
+    # The stand-in's point passes descent_step's validation; its split
+    # (1, 2, 3, 1) then fails the rearranged identity (0 against 18).
+    trace = descent_chain(*_STAND_IN_POINT, system=_STAND_IN)
+    assert trace.steps == ()
+    assert trace.terminal == DescentTerminal(
+        TERMINAL_STAGE_FAILURE, stage=STAGE_REARRANGE, values={"p": 1, "q": 2, "r": 3, "s": 1}
+    )
+
+
+def test_descent_step_runs_its_stages_in_order_on_absolute_values(monkeypatch):
+    calls = []
+
+    def recorded(name, result):
+        def stage_fn(*args):
+            calls.append((name, args))
+            return result
+
+        return stage_fn
+
+    monkeypatch.setattr(descent, "split_stage", recorded("split", (1, 2, 3, 1)))
+    monkeypatch.setattr(descent, "sum_difference_stage", recorded("sum_difference", (2, 0)))
+    monkeypatch.setattr(descent, "inner_triples_stage", recorded("inner", ((2, 1), (1, 1))))
+    x, y, xp, yp = _STAND_IN_POINT
+    with pytest.raises(StageFailure) as info:
+        descent_step(-x, y, -xp, yp, system=_STAND_IN)
+    assert calls == [
+        ("split", _STAND_IN_POINT),
+        ("sum_difference", (1, 2, 3, 1)),
+        ("inner", (1, 2, 3, 1)),
+    ]
+    # (2, 1, 1, 1) does not satisfy R1, so assembling the output fails.
+    assert info.value.stage == STAGE_ASSEMBLE
+    values = dict(info.value.values)
+    assert values.pop("reason")
+    assert values == {"s0": 2, "t0": 1, "s0p": 1, "t0p": 1}
 
 
 def test_descent_chain_trivial_reached_terminal(monkeypatch):
@@ -516,21 +559,10 @@ def test_descent_value_classes(check_value_class, cls, values, defaults, repr_te
     check_value_class(cls, values, defaults=defaults, repr_text=repr_text)
 
 
-def test_descent_trace_is_a_mutable_record(check_value_class):
+def test_descent_trace_value_class(check_value_class):
     check_value_class(
         DescentTrace,
-        {"source": (1, 0, 1, 0), "steps": [], "terminal": DescentTerminal(TERMINAL_TRIVIAL_INPUT)},
-        defaults={"steps": [], "terminal": None},
-        repr_text="DescentTrace(source=(1, 0, 1, 0), steps=[],"
+        {"source": (1, 0, 1, 0), "steps": (), "terminal": DescentTerminal(TERMINAL_TRIVIAL_INPUT)},
+        repr_text="DescentTrace(source=(1, 0, 1, 0), steps=(),"
         " terminal=DescentTerminal(kind='TrivialInput', stage=None, values=None))",
-        frozen=False,
     )
-
-
-def test_descent_traces_never_share_a_steps_list():
-    first, second = DescentTrace((1, 0, 1, 0)), DescentTrace((1, 0, 1, 0))
-    assert first.steps is not second.steps
-    first.steps.append(None)
-    assert second.steps == [] and first != second
-    assert descent_chain(1, 0, 1, 0) == descent_chain(1, 0, 1, 0)
-    assert residue_obstruction(R1, 3) == residue_obstruction(R1, 3)

@@ -7,7 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from descent_forge import reduction
-from descent_forge.equations import R1, ResolventSolution, equation_by_id, list_catalog
+from descent_forge.equations import (
+    R1,
+    ResolventSolution,
+    equation_by_id,
+    list_catalog,
+    quartic_solution,
+    resolvent_solution,
+)
 from descent_forge.errors import (
     InternalInvariantBroken,
     NotAResolventSolution,
@@ -132,19 +139,92 @@ def test_maps_exist_for_the_mapped_ids_alone():
                 reduction.maps(entry.equation.id)
 
 
+def _rebuilt(trace, **changes):
+    """A copy of the trace with the given fields replaced."""
+    fields = {name: getattr(trace, name) for name in ReductionTrace.__match_args__}
+    return ReductionTrace(**{**fields, **changes})
+
+
 def test_replay_rejects_tampered_outputs():
     _, trace = _forward_stages(1, 0, 1)
     good = trace.steps[0]
-    trace.steps[0] = TraceStep(good.stage, good.inputs, {"u": 2, "v": 0})
-    with pytest.raises(InternalInvariantBroken):
-        replay_trace(trace)
+    tampered = (TraceStep(good.stage, good.inputs, {"u": 2, "v": 0}),) + trace.steps[1:]
+    with pytest.raises(InternalInvariantBroken, match="does not replay"):
+        replay_trace(_rebuilt(trace, steps=tampered))
 
 
 def test_replay_rejects_unknown_stages():
     _, trace = _forward_stages(1, 0, 1)
-    trace.steps.append(TraceStep("Bogus", {}, {}))
-    with pytest.raises(InternalInvariantBroken):
-        replay_trace(trace)
+    with pytest.raises(InternalInvariantBroken, match="stages"):
+        replay_trace(_rebuilt(trace, steps=trace.steps + (TraceStep("Bogus", {}, {}),)))
+
+
+def test_replay_rejects_unknown_kinds():
+    _, trace = _forward_stages(1, 0, 1)
+    with pytest.raises(InternalInvariantBroken, match="stages"):
+        replay_trace(_rebuilt(trace, kind="E9->R1"))
+
+
+# One trace of each kind.
+_MAKE_TRACE = {
+    "E2->R1": lambda: _forward_stages(1, 0, 1),
+    "R1->E2": lambda: backward_lift_biquadratic(1, 0, 1, 0),
+    "E4->R1": lambda: sextic_to_resolvent(0, 1, 1),
+    "R1->E4": lambda: resolvent_to_sextic(1, 0, 1, 0),
+}
+
+
+@pytest.mark.parametrize("kind", _MAKE_TRACE)
+def test_replay_rejects_reversed_steps(kind):
+    _, trace = _MAKE_TRACE[kind]()
+    assert trace.kind == kind
+    replay_trace(trace)
+    with pytest.raises(InternalInvariantBroken, match="stages"):
+        replay_trace(_rebuilt(trace, steps=trace.steps[::-1]))
+
+
+@pytest.mark.parametrize("kind", _MAKE_TRACE)
+def test_replay_rejects_a_trace_without_steps(kind):
+    _, trace = _MAKE_TRACE[kind]()
+    with pytest.raises(InternalInvariantBroken, match="stages"):
+        replay_trace(_rebuilt(trace, steps=()))
+
+
+@pytest.mark.parametrize("kind", _MAKE_TRACE)
+def test_replay_rejects_a_dropped_step(kind):
+    _, trace = _MAKE_TRACE[kind]()
+    # Dropping the first step leaves the last one, and so final, intact.
+    with pytest.raises(InternalInvariantBroken, match="stages"):
+        replay_trace(_rebuilt(trace, steps=trace.steps[1:]))
+
+
+@pytest.mark.parametrize(
+    "kind, other_final",
+    [
+        ("E2->R1", resolvent_solution(R1, 1, 0, 0, 1)),
+        ("R1->E2", quartic_solution(equation_by_id("E2"), 0, 1, 2)),
+        ("E4->R1", resolvent_solution(R1, 1, 0, 1, 0)),
+        ("R1->E4", quartic_solution(equation_by_id("E4"), 0, 1, 1)),
+    ],
+    ids=list(_MAKE_TRACE),
+)
+def test_replay_rejects_a_replaced_final(kind, other_final):
+    result, trace = _MAKE_TRACE[kind]()
+    assert other_final != result
+    with pytest.raises(InternalInvariantBroken, match="final"):
+        replay_trace(_rebuilt(trace, final=other_final))
+
+
+@pytest.mark.parametrize("kind", _MAKE_TRACE)
+def test_every_map_returns_a_frozen_trace_whose_steps_own_their_dicts(kind):
+    result, trace = _MAKE_TRACE[kind]()
+    assert _MAKE_TRACE[kind]() == (result, trace)
+    assert type(trace.steps) is tuple and trace.final is result
+    for name in ReductionTrace.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(trace, name, getattr(trace, name))
+    dicts = [d for step in trace.steps for d in (step.inputs, step.outputs)]
+    assert len({id(d) for d in dicts}) == len(dicts)
 
 
 @pytest.mark.parametrize(
@@ -245,23 +325,13 @@ def test_trace_step_value_class(check_value_class):
     )
 
 
-def test_reduction_trace_is_a_mutable_record(check_value_class):
+def test_reduction_trace_value_class(check_value_class):
     check_value_class(
         ReductionTrace,
         {
-            "kind": "E4->R1", "source": (1, 0, 1), "sign_changes": {"x": 1}, "steps": [],
+            "kind": "E4->R1", "source": (1, 0, 1), "sign_changes": {"x": 1}, "steps": (),
             "final": ResolventSolution("R1", 1, 0, 1, 0, True),
         },
-        defaults={"steps": [], "final": None},
-        repr_text="ReductionTrace(kind='E4->R1', source=(1, 0, 1), sign_changes={'x': 1}, steps=[],"
+        repr_text="ReductionTrace(kind='E4->R1', source=(1, 0, 1), sign_changes={'x': 1}, steps=(),"
         " final=ResolventSolution(system_id='R1', x=1, y=0, xp=1, yp=0, trivial=True))",
-        frozen=False,
     )
-
-
-def test_reduction_traces_never_share_a_steps_list():
-    first = ReductionTrace(KIND_BIQUADRATIC_REDUCE, (1, 0, 1), {})
-    second = ReductionTrace(KIND_BIQUADRATIC_REDUCE, (1, 0, 1), {})
-    first.add(STAGE_ASSEMBLE, {"s": 1}, {"x": 1})
-    assert second.steps == [] and first != second
-    assert sextic_to_resolvent(1, 0, 1) == sextic_to_resolvent(1, 0, 1)
