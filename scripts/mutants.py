@@ -1,0 +1,144 @@
+"""Mutation check: each mutant breaks one rule, and named tests must catch it.
+
+Usage, from anywhere in a checkout:
+
+    python3 scripts/mutants.py
+
+Each row of MUTANTS names a file under src/, an exact snippet in it, its
+replacement, and the test ids that pin the rule the snippet states. For
+each row the script copies src/ and tests/ to a temporary directory,
+applies the replacement there and runs the named tests with pytest; the
+mutant is killed when they fail. The named tests are first run once on an
+unmutated copy, where they must pass.
+
+Exits 1 if a mutant survives, if a snippet does not occur exactly once in
+its file (so the table cannot go stale silently), or if a run neither
+passes nor fails (a test id that no longer exists, a collection error);
+else 0. Needs pytest and hypothesis, as the tests do. The 8 rows take
+about 22 s on a 2-vCPU host.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = "src/descent_forge"
+
+# (description, file, old snippet, new snippet, test ids)
+MUTANTS = (
+    (
+        "split forms return (N, D) instead of (D, N)",
+        f"{PACKAGE}/equations.py",
+        "return self.m * q * q - self.k * r * r, self.l * q * q - self.n * r * r",
+        "return self.l * q * q - self.n * r * r, self.m * q * q - self.k * r * r",
+        (
+            "tests/test_equations.py::test_split_forms_of_the_resolvents",
+            "tests/test_equations.py::test_split_point_solves_the_system_iff_p2_d_equals_s2_n",
+        ),
+    ),
+    (
+        "twin-triple replay ignores alpha",
+        f"{PACKAGE}/reduction.py",
+        '        and i["alpha"] == lam * lam + gam * gam\n',
+        "",
+        ("tests/test_reduction.py::test_replay_rejects_a_tampered_twin_triple_side",),
+    ),
+    (
+        "twin-triple replay ignores beta",
+        f"{PACKAGE}/reduction.py",
+        '        and i["beta"] == lam_p * lam_p - gam_p * gam_p\n',
+        "",
+        ("tests/test_reduction.py::test_replay_rejects_a_tampered_twin_triple_side",),
+    ),
+    (
+        "descent step takes nu of a trivial output",
+        f"{PACKAGE}/descent.py",
+        "nu_out=None if output.trivial else nu(s0 * t0),",
+        "nu_out=nu(s0 * t0),",
+        ("tests/test_descent.py::test_real_descent_step_reaches_a_trivial_output",),
+    ),
+    (
+        "replay does not compare final with the last step",
+        f"{PACKAGE}/reduction.py",
+        "    if dict(zip(names, final)) != last:",
+        "    if False:",
+        ("tests/test_reduction.py::test_replay_rejects_a_replaced_final",),
+    ),
+    (
+        "replay does not check the stage sequence",
+        f"{PACKAGE}/reduction.py",
+        "    if not sequence or stages != expected:",
+        "    if not sequence:",
+        (
+            "tests/test_reduction.py::test_replay_rejects_reversed_steps",
+            "tests/test_reduction.py::test_replay_rejects_a_dropped_step",
+        ),
+    ),
+    (
+        "two E2->R1 steps share the generators dict",
+        f"{PACKAGE}/reduction.py",
+        "        dict(generators),\n",
+        "        generators,\n",
+        ("tests/test_reduction.py::test_every_map_returns_a_frozen_trace_whose_steps_own_their_dicts",),
+    ),
+    (
+        "descent step runs its stages on signed values",
+        f"{PACKAGE}/descent.py",
+        "    x, y, xp, yp = abs(x), abs(y), abs(xp), abs(yp)\n",
+        "",
+        ("tests/test_descent.py::test_descent_step_runs_its_stages_in_order_on_absolute_values",),
+    ),
+)
+
+
+def _run_tests(tree: Path, test_ids) -> int:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *test_ids]
+    done = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return done.returncode
+
+
+def _copy_tree(scratch: str) -> Path:
+    tree = Path(tempfile.mkdtemp(dir=scratch))
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
+    return tree
+
+
+def main() -> int:
+    problems = []
+    for description, path, old, _, _ in MUTANTS:
+        count = (ROOT / path).read_text().count(old)
+        if count != 1:
+            problems.append(f"stale row ({description}): snippet occurs {count} times in {path}")
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
+        return 1
+
+    with tempfile.TemporaryDirectory() as scratch:
+        all_ids = sorted({test_id for *_, test_ids in MUTANTS for test_id in test_ids})
+        status = _run_tests(_copy_tree(scratch), all_ids)
+        if status != 0:
+            print(f"unmutated copy: the named tests exit {status}, not 0", file=sys.stderr)
+            return 1
+        for description, path, old, new, test_ids in MUTANTS:
+            tree = _copy_tree(scratch)
+            target = tree / path
+            target.write_text(target.read_text().replace(old, new))
+            status = _run_tests(tree, test_ids)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"broken run (pytest exit {status})")
+            print(f"{verdict}: {description}")
+            if status != 1:
+                problems.append(description)
+    print(f"{len(MUTANTS) - len(problems)} of {len(MUTANTS)} mutants killed")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -205,8 +205,15 @@ class DescentStep(Frozen):
     )
 
     def validate(self) -> None:
-        """Check the two step invariants: strict descent and output validity."""
-        if self.nu_out >= self.nu_in:
+        """Check the two step invariants: strict descent and output validity.
+
+        nu(0) is undefined, so only a trivial output may record nu_out = None,
+        and it skips the descent check.
+        """
+        if self.nu_out is None:
+            if not self.output.trivial:
+                raise InternalInvariantBroken(f"nontrivial output {self.output} has no nu_out")
+        elif self.nu_out >= self.nu_in:
             raise InternalInvariantBroken(
                 f"descent did not shrink: nu_out={self.nu_out} >= nu_in={self.nu_in}"
             )
@@ -258,11 +265,13 @@ def split_stage(x: int, y: int, xp: int, yp: int) -> tuple[int, int, int, int]:
     """Stages 1 and 2: four-gcd split plus the rearranged identity.
 
     Returns (p, q, r, s) with x = p*q, y = r*s, xp = p*r, yp = q*s and
-    checks the rearrangement (p^2 - s^2) q^2 = (p^2 + s^2) r^2, which is
-    equivalent to the quadratic equality of R1 on the rebuilt quadruple.
+    checks the rearrangement p^2 D = s^2 N, (D, N) = R1.split_forms(q, r),
+    which is equivalent to the quadratic equality of R1 on the rebuilt
+    quadruple.
     """
     p, q, r, s = coprime_split(x, y, xp, yp)
-    if (p * p - s * s) * q * q != (p * p + s * s) * r * r:
+    d_value, n_value = R1.split_forms(q, r)
+    if p * p * d_value != s * s * n_value:
         raise StageFailure(
             STAGE_REARRANGE,
             {"p": p, "q": q, "r": r, "s": s},
@@ -345,7 +354,7 @@ def descent_step(
         inner_solutions=((s0, t0), (s0p, t0p)),
         output=output,
         nu_in=nu(x * y),
-        nu_out=nu(s0 * t0),
+        nu_out=None if output.trivial else nu(s0 * t0),
     )
     step.validate()
     return step

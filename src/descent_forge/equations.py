@@ -61,6 +61,26 @@ class ResolventSystem(Frozen):
         if 0 in (self.m, self.n, self.k, self.l):
             raise ValueError(f"malformed resolvent system {self.id}: zero coefficient")
 
+    def split_forms(self, q: int, r: int) -> tuple[int, int]:
+        """The split forms (D, N) = (m q^2 - k r^2, l q^2 - n r^2).
+
+        A coprime solution with x*y != 0 splits as x = p*q, y = r*s,
+        x' = p*r, y' = q*s with p, q, r, s pairwise coprime (the four-gcd
+        split). Substituted into the system, that quadruple is a solution
+        exactly when p^2 D = s^2 N.
+        """
+        return self.m * q * q - self.k * r * r, self.l * q * q - self.n * r * r
+
+    def split_quartic(self) -> QuarticEquation:
+        """D*N = z^2 as a quartic in (q, r), under this system's id.
+
+        p^2 D = s^2 N with gcd(p, s) = 1 gives D = t s^2 and N = t p^2, so
+        D*N = ml q^4 - (mn + kl) q^2 r^2 + kn r^4 is a square. R1's is E1;
+        R2's, 2q^4 - 2r^4 = z^2, is E8 (q^4 - r^4 = 2w^2) with z = 2w.
+        """
+        m, n, k, l = self.m, self.n, self.k, self.l
+        return QuarticEquation(self.id, m * l, -(m * n + k * l), k * n, 1, 2)
+
     def form(self) -> str:
         left = f"{_term(self.m, 'x^2', first=True)} {_term(self.n, 'y^2')}"
         right = _term(self.k, "x'^2", first=True) + " " + _term(self.l, "y'^2")

@@ -264,7 +264,7 @@ def resolvent_to_sextic(
     source, signs = _canonicalize({"x": x, "y": y, "xp": xp, "yp": yp})
     x, y, xp, yp = source
 
-    d_squared = xp**4 + 6 * xp * xp * yp * yp + yp**4
+    d_squared = equation_by_id("E4").lhs(xp, yp)
     d = isqrt_exact(d_squared)
     if d is None:
         raise StageFailure(STAGE_SQUARE_EXTRACT, {"xp": xp, "yp": yp, "value": d_squared})
@@ -350,8 +350,10 @@ def _check_twin_decompose(i: dict, o: dict) -> bool:
     return (
         s == lam * lam - gam * gam
         and t == 2 * lam * gam
+        and i["alpha"] == lam * lam + gam * gam
         and s == lam_p * lam_p + gam_p * gam_p
         and t == 2 * lam_p * gam_p
+        and i["beta"] == lam_p * lam_p - gam_p * gam_p
     )
 
 
@@ -384,7 +386,7 @@ def _check_lift_assemble(i: dict, o: dict) -> bool:
         x == i["psi"] * i["phi"]
         and y == abs(i["T"] * i["S"])
         and z == i["T"] ** 4 + i["S"] ** 4
-        and x**4 + 4 * y**4 == z * z
+        and equation_by_id("E2").is_solution(x, y, z)
     )
 
 
@@ -394,14 +396,13 @@ def _check_symmetric_assemble(i: dict, o: dict) -> bool:
 
 
 def _check_symmetric_root(i: dict, o: dict) -> bool:
-    xp, yp = i["xp"], i["yp"]
-    value = xp**4 + 6 * xp * xp * yp * yp + yp**4
+    value = equation_by_id("E4").lhs(i["xp"], i["yp"])
     return i["value"] == value and o["D"] ** 2 == value
 
 
 def _check_symmetric_final(i: dict, o: dict) -> bool:
     x, y, z = o["x"], o["y"], o["z"]
-    return (x, y, z) == (i["xp"], i["yp"], i["D"]) and x**4 + 6 * x * x * y * y + y**4 == z * z
+    return (x, y, z) == (i["xp"], i["yp"], i["D"]) and equation_by_id("E4").is_solution(x, y, z)
 
 
 _REPLAY_SEQUENCES = {

@@ -15,9 +15,9 @@ judges triviality.
 
 Resolvent searches run on the same row kernel. The four-gcd split
 x = p*q, y = r*s, x' = p*r, y' = q*s of a coprime solution turns the
-system into the quartic D*N = z^2 in (q, r), with D = m q^2 - k r^2 and
-N = l q^2 - n r^2; each of its coprime survivors is rebuilt into at most
-one solution, or into a free (p, s) family when D = N = 0.
+system into its split quartic D*N = z^2 in (q, r) (ResolventSystem's
+split_quartic and split_forms); each of its coprime survivors is rebuilt
+into at most one solution, or into a free (p, s) family when D = N = 0.
 Reports list canonical (componentwise nonnegative) representatives sorted
 lexicographically, plus the total number of signed solutions their
 orbits contain, so results are bit-stable across runs and thread counts.
@@ -294,21 +294,18 @@ def search_resolvent(
     """Exhaustive scan for solutions of a resolvent system.
 
     A coprime solution with x*y != 0 splits uniquely as x = p*q, y = r*s,
-    x' = p*r, y' = q*s with p, q, r, s >= 1 pairwise coprime (the
-    descent's Split stage). Then p^2 D = s^2 N for D = m q^2 - k r^2 and
-    N = l q^2 - n r^2, so D = t s^2 and N = t p^2: D*N is a square, the
-    quartic ml q^4 - (mn + kl) q^2 r^2 + kn r^4 = z^2. Row q runs that
-    quartic's sieved coprime row kernel; a survivor with z > 0 gives
-    t = sign(D) * gcd(D, N) and hence p and s, and one with D = N = 0
+    x' = p*r, y' = q*s with p, q, r, s >= 1 pairwise coprime, and then
+    p^2 D = s^2 N for the split forms (D, N) = system.split_forms(q, r).
+    Row q runs the sieved coprime row kernel of system.split_quartic(),
+    D*N = z^2; a survivor with z > 0 gives t = sign(D) * gcd(D, N) with
+    D = t s^2 and N = t p^2, and hence p and s, and one with D = N = 0
     leaves (p, s) free. The four points with x*y = 0 are tested directly.
     Coprimality is part of solution-hood here, so there is no coprimality
     option.
     """
     _check_bound("resolvent", bound, RESOLVENT_BOUND_LIMIT)
     thread_count(threads)
-    m, n, k, l = system.m, system.n, system.k, system.l
-    resolvent_quartic = QuarticEquation(system.id, m * l, -(m * n + k * l), k * n, 1, 2)
-    quartic_row = _quartic_rows(resolvent_quartic, bound, require_coprime=True)
+    quartic_row = _quartic_rows(system.split_quartic(), bound, require_coprime=True)
 
     def row(q: int):
         if q == 0:
@@ -318,7 +315,7 @@ def search_resolvent(
         for (_, r, z), _, _ in quartic_row(q):
             if q * r == 0:
                 continue
-            d_value, n_value = m * q * q - k * r * r, l * q * q - n * r * r
+            d_value, n_value = system.split_forms(q, r)
             if z:
                 t = math.gcd(d_value, n_value) if d_value > 0 else -math.gcd(d_value, n_value)
                 splits = [(math.isqrt(n_value // t), math.isqrt(d_value // t))]

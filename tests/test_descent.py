@@ -513,6 +513,38 @@ def test_descent_chain_trivial_reached_terminal(monkeypatch):
     }
 
 
+def test_real_descent_step_reaches_a_trivial_output(monkeypatch):
+    # Stages stubbed so the real descent_step assembles the trivial R1
+    # point (1, 0, 1, 0): it records no valuation for it (nu(0) is
+    # undefined), and the chain ends there.
+    monkeypatch.setattr(descent, "split_stage", lambda *_: (1, 2, 3, 1))
+    monkeypatch.setattr(descent, "sum_difference_stage", lambda *_: (2, 0))
+    monkeypatch.setattr(descent, "inner_triples_stage", lambda *_: ((1, 0), (1, 0)))
+    step = descent_step(*_STAND_IN_POINT, system=_STAND_IN)
+    assert step.output == _trivial_solution()
+    assert (step.nu_in, step.nu_out) == (2, None)
+    assert step.to_dict()["nu_out"] is None
+    trace = descent_chain(*_STAND_IN_POINT, system=_STAND_IN)
+    assert trace.steps == (step,)
+    assert trace.terminal == DescentTerminal(
+        TERMINAL_TRIVIAL_REACHED, values={"output": [1, 0, 1, 0]}
+    )
+
+
+def test_synthetic_step_refuses_a_missing_valuation_on_a_nontrivial_output():
+    nontrivial = ResolventSolution("R1", 2, 3, 3, 2, trivial=False)
+    step = DescentStep(
+        input=nontrivial,
+        split=(1, 2, 3, 1),
+        inner_solutions=((2, 3), (3, 2)),
+        output=nontrivial,
+        nu_in=2,
+        nu_out=None,
+    )
+    with pytest.raises(InternalInvariantBroken, match="no nu_out"):
+        step.validate()
+
+
 def test_descent_chain_step_cap_raises(monkeypatch):
     calls = _scripted_steps(monkeypatch, [(3, 2, 2, 3)])
     # nu(2 * 3) + 1 = 3 steps are allowed; a chain that never ends is a bug.

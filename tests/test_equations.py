@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from descent_forge.core_arith import isqrt_exact
 from descent_forge.equations import (
@@ -213,6 +215,81 @@ def test_check_resolvent_r1(quad, expected):
 def test_check_resolvent_r2_trivial_case():
     assert check_resolvent(R2, 1, 0, 1, 0) is True
     assert check_resolvent(R2, 1, 0, 0, 1) is False
+
+
+def test_split_forms_of_the_resolvents():
+    # (D, N) = (m q^2 - k r^2, l q^2 - n r^2).
+    assert R1.split_forms(3, 2) == (5, 13)
+    assert R2.split_forms(3, 2) == (5, 26)
+    assert ResolventSystem("T", 2, 3, 5, 7).split_forms(1, 1) == (-3, 4)
+
+
+def test_split_quartics_are_the_catalogue_rows_e1_and_e8():
+    e1, e8 = equation_by_id("E1"), equation_by_id("E8")
+    assert R1.split_quartic() == QuarticEquation("R1", e1.a, e1.b, e1.c, e1.d, e1.e)
+    # 2q^4 - 2r^4 = z^2 is E8, q^4 - r^4 = 2w^2, scaled by 2 with z = 2w.
+    r2 = R2.split_quartic()
+    assert r2 == QuarticEquation("R2", 2 * e8.a, 2 * e8.b, 2 * e8.c, 2 * e8.d // 2**2, e8.e)
+    for x, y, w in product(range(6), range(6), range(-3, 30)):
+        assert r2.is_solution(x, y, 2 * w) == e8.is_solution(x, y, w)
+
+
+def _equivalent_rows(quartic):
+    """Catalogue rows whose equation is the quartic after z = c*w, c in {1, 2}."""
+    rows = []
+    for entry in list_catalog():
+        eq = entry.equation
+        for c in (1, 2):
+            left = (quartic.a, quartic.b, quartic.c, quartic.d * c * c)
+            right = (eq.a, eq.b, eq.c, eq.d)
+            proportional = all(
+                left[i] * right[j] == left[j] * right[i] for i, j in combinations(range(4), 2)
+            )
+            if proportional and quartic.e == eq.e:
+                rows.append(entry)
+    return rows
+
+
+def test_membership_column_agrees_with_the_split_quartics():
+    for system, eq_id in ((R1, "E1"), (R2, "E8")):
+        rows = _equivalent_rows(system.split_quartic())
+        assert [entry.equation.id for entry in rows] == [eq_id]
+        assert rows[0].membership == membership_of(eq_id) == system.id
+
+
+_coefficients = st.integers(-6, 6).filter(bool)
+
+
+@st.composite
+def _split_points(draw):
+    """A system and pairwise-coprime nonzero (p, q, r, s).
+
+    Each of the primes 2 to 11 goes to one part or to none, so the parts
+    are coprime by construction. About half of the time m, k and n are
+    scaled by s^2, q^2 s^2 and q^2 and l is solved for, so that the split
+    point lies on the system whenever that l is nonzero.
+    """
+    parts = [draw(st.sampled_from((1, -1))) for _ in range(4)]
+    for prime in (2, 3, 5, 7, 11):
+        owner = draw(st.integers(0, 4))
+        if owner < 4:
+            parts[owner] *= prime
+    p, q, r, s = parts
+    m, n, k, l = (draw(_coefficients) for _ in range(4))
+    solved = p * p * (m - k * r * r) + n * r * r
+    if draw(st.booleans()) and solved:
+        m, k, n, l = m * s * s, k * q * q * s * s, n * q * q, solved
+    return ResolventSystem("T", m, n, k, l), (p, q, r, s)
+
+
+@given(_split_points())
+@example((ResolventSystem("T1", 1, 1, 1, 1), (1, 1, 1, 1)))
+@example((ResolventSystem("T2", 1, 3, 3, 3), (2, 3, 1, 1)))
+def test_split_point_solves_the_system_iff_p2_d_equals_s2_n(case):
+    system, (p, q, r, s) = case
+    d_value, n_value = system.split_forms(q, r)
+    on_system = check_resolvent(system, p * q, r * s, p * r, q * s)
+    assert on_system == (p * p * d_value == s * s * n_value)
 
 
 def test_resolvent_solution_factory():

@@ -153,6 +153,19 @@ def test_replay_rejects_tampered_outputs():
         replay_trace(_rebuilt(trace, steps=tampered))
 
 
+@pytest.mark.parametrize("name, value", [("alpha", 99), ("beta", 77)])
+def test_replay_rejects_a_tampered_twin_triple_side(name, value):
+    # The twin triples are (s, t, alpha) and (beta, t, s): each generator
+    # pair must rebuild all three sides of its triple, not only s and t.
+    _, trace = _forward_stages(1, 0, 1)
+    index = [step.stage for step in trace.steps].index(STAGE_TWIN_TRIPLE_DECOMPOSE)
+    twin = trace.steps[index]
+    tampered = TraceStep(twin.stage, {**twin.inputs, name: value}, twin.outputs)
+    steps = trace.steps[:index] + (tampered,) + trace.steps[index + 1:]
+    with pytest.raises(InternalInvariantBroken, match="TwinTripleDecompose .* does not replay"):
+        replay_trace(_rebuilt(trace, steps=steps))
+
+
 def test_replay_rejects_unknown_stages():
     _, trace = _forward_stages(1, 0, 1)
     with pytest.raises(InternalInvariantBroken, match="stages"):

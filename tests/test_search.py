@@ -123,6 +123,36 @@ def test_resolvent_scan_at_the_bound_limit_is_empty_and_quick():
         assert report.elapsed_ms < 10_000
 
 
+def test_resolvent_scan_runs_the_kernel_of_its_split_quartic(monkeypatch):
+    scanned = []
+    kernel = search._quartic_rows
+
+    def spy(eq, bound, require_coprime):
+        scanned.append((eq, bound, require_coprime))
+        return kernel(eq, bound, require_coprime)
+
+    monkeypatch.setattr(search, "_quartic_rows", spy)
+    systems = (R1, R2, ResolventSystem("T", 2, 3, 5, 7))
+    for system in systems:
+        search_resolvent(system, 30)
+    assert scanned == [(system.split_quartic(), 30, True) for system in systems]
+
+
+@pytest.mark.parametrize("bound", [50, 300, 2000])
+def test_resolvent_kernel_survivors_are_the_e1_and_e8_scan_points(bound):
+    # R1's split quartic is E1; R2's is E8 with z = 2w. Their coprime
+    # scans therefore list the same (q, r) with the same orbits.
+    def scan(eq):
+        return search_quartic(eq, bound, require_coprime=True, include_trivial=True)
+
+    r1, e1 = scan(R1.split_quartic()), scan(equation_by_id("E1"))
+    assert r1.solutions == e1.solutions and r1.orbit_count == e1.orbit_count
+    r2, e8 = scan(R2.split_quartic()), scan(equation_by_id("E8"))
+    assert r2.solutions == tuple((x, y, 2 * w) for x, y, w in e8.solutions)
+    assert r2.orbit_count == e8.orbit_count
+    assert r1.solutions and r2.solutions
+
+
 def _resolvent_oracle(system, bound):
     """Canonical solutions and total orbit size of a resolvent scan, by brute force.
 
