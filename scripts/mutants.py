@@ -14,8 +14,8 @@ unmutated copy, where they must pass.
 Exits 1 if a mutant survives, if a snippet does not occur exactly once in
 its file (so the table cannot go stale silently), or if a run neither
 passes nor fails (a test id that no longer exists, a collection error);
-else 0. Needs pytest and hypothesis, as the tests do. The 8 rows take
-about 22 s on a 2-vCPU host.
+else 0. Needs pytest and hypothesis, as the tests do. The 22 rows take
+about 36-40 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ MUTANTS = (
     (
         "replay does not compare final with the last step",
         f"{PACKAGE}/reduction.py",
-        "    if dict(zip(names, final)) != last:",
+        "    if final.named() != last:",
         "    if False:",
         ("tests/test_reduction.py::test_replay_rejects_a_replaced_final",),
     ),
@@ -83,8 +83,8 @@ MUTANTS = (
     (
         "two E2->R1 steps share the generators dict",
         f"{PACKAGE}/reduction.py",
-        "        dict(generators),\n",
-        "        generators,\n",
+        "TraceStep(STAGE_ASSEMBLE, dict(generators), result.named())",
+        "TraceStep(STAGE_ASSEMBLE, generators, result.named())",
         ("tests/test_reduction.py::test_every_map_returns_a_frozen_trace_whose_steps_own_their_dicts",),
     ),
     (
@@ -93,6 +93,116 @@ MUTANTS = (
         "    x, y, xp, yp = abs(x), abs(y), abs(xp), abs(yp)\n",
         "",
         ("tests/test_descent.py::test_descent_step_runs_its_stages_in_order_on_absolute_values",),
+    ),
+    (
+        "2-adic analysis depth 2 instead of 3",
+        f"{PACKAGE}/descent.py",
+        "depth = max(exponent, 3) if prime == 2 else exponent",
+        "depth = max(exponent, 2) if prime == 2 else exponent",
+        (
+            "tests/test_descent.py::test_mod_2_obstruction_is_forced",
+            "tests/test_descent.py::test_analysis_modulus_takes_the_2_part_to_depth_3",
+        ),
+    ),
+    (
+        "maps served from an import-time dict",
+        f"{PACKAGE}/reduction.py",
+        '    if eq_id == "E2":\n',
+        "    return _IMPORT_TIME_MAPS[eq_id]\n\n\n"
+        "_IMPORT_TIME_MAPS = {\n"
+        '    "E2": (forward_reduce_biquadratic, backward_lift_biquadratic),\n'
+        '    "E4": (sextic_to_resolvent, resolvent_to_sextic),\n'
+        "}\n\n\n"
+        "def _maps_by_name(eq_id):\n"
+        '    if eq_id == "E2":\n',
+        ("tests/test_cli.py::test_stage_failure_exits_two_with_error_document",),
+    ),
+    (
+        "a record takes extra positional arguments",
+        f"{PACKAGE}/_value.py",
+        "if len(args) > len(names):",
+        "if False:",
+        ("tests/test_equations.py::test_record_value_classes",),
+    ),
+    (
+        "a record accepts a keyword repeating a positional field",
+        f"{PACKAGE}/_value.py",
+        "        if kwargs:\n",
+        "        if kwargs.keys() - set(names):\n",
+        ("tests/test_equations.py::test_record_value_classes",),
+    ),
+    (
+        "VerifyOutcome shares a list default",
+        f"{PACKAGE}/search.py",
+        '_defaults = {"cross_checks": ()}',
+        '_defaults = {"cross_checks": []}',
+        ("tests/test_search.py::test_verify_outcome_value_class",),
+    ),
+    (
+        "partitions floored instead of rounded up",
+        f"{PACKAGE}/search.py",
+        "partitions=-(-(bound + 1) // _CHUNK_ROWS),",
+        "partitions=(bound + 1) // _CHUNK_ROWS,",
+        ("tests/test_search.py::test_partitions_count_128_row_blocks",),
+    ),
+    (
+        "a command parser sets no command default",
+        f"{PACKAGE}/cli.py",
+        "parser.set_defaults(command=name)",
+        "parser.set_defaults()",
+        ("tests/test_cli.py::test_one_command_parser_sets_the_full_tree_namespace",),
+    ),
+    (
+        "coprime scans drop y = 0 at x = 1",
+        f"{PACKAGE}/search.py",
+        "if not require_coprime or x == 1:",
+        "if not require_coprime:",
+        (
+            "tests/test_search.py::test_biquadratic_scan_is_empty_but_counts_trivial_orbits",
+            "tests/test_search.py::test_quartic_scan_canonical_listing",
+        ),
+    ),
+    (
+        "sieve targets are squares, not d times squares",
+        f"{PACKAGE}/search.py",
+        "targets = {d * s % m for s in squares}",
+        "targets = {s % m for s in squares}",
+        ("tests/test_search.py::test_square_flag_tables_match_brute_force",),
+    ),
+    (
+        "a component without survivors does not force the modulus",
+        f"{PACKAGE}/descent.py",
+        "forced=all(value == 0 for value in surviving),",
+        "forced=surviving == {0},",
+        ("tests/test_descent.py::test_synthetic_oracle_systems_reach_the_empty_and_unforced_cases",),
+    ),
+    (
+        "the resolvent record names xp and yp swapped",
+        f"{PACKAGE}/equations.py",
+        'coordinates = ("x", "y", "xp", "yp")',
+        'coordinates = ("x", "y", "yp", "xp")',
+        ("tests/test_equations.py::test_record_value_classes",),
+    ),
+    (
+        "the exact-root helper lets a missing second root through",
+        f"{PACKAGE}/reduction.py",
+        "    if None in roots.values():",
+        "    if next(iter(roots.values())) is None:",
+        ("tests/test_reduction.py::test_a_missing_exact_root_is_a_stage_failure",),
+    ),
+    (
+        "canonicalization records no sign change",
+        f"{PACKAGE}/reduction.py",
+        "signs = {name: (-1 if value < 0 else 1) for name, value in named.items()}",
+        "signs = {name: 1 for name, value in named.items()}",
+        ("tests/test_reduction.py::test_backward_lift_canonicalizes_signs",),
+    ),
+    (
+        "canonicalization keeps a coordinate's sign",
+        f"{PACKAGE}/reduction.py",
+        "return {name: abs(value) for name, value in named.items()}, signs",
+        "return dict(named), signs",
+        ("tests/test_reduction.py::test_backward_lift_canonicalizes_signs",),
     ),
 )
 

@@ -19,7 +19,9 @@ set_field = object.__setattr__
 class Frozen:
     """Immutable record: equal to a record of the same class with equal
     fields, and hashed by its fields. Subclasses declare their fields as
-    __slots__."""
+    __slots__. No field can be assigned, but values are not copied: a
+    record holding a dict (a trace step) cannot be hashed, and the dict
+    can be changed in place, which replay_trace then checks as it stands."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()

@@ -30,7 +30,7 @@ import json
 import sys
 
 from . import descent, reduction, search
-from .equations import equation_by_id, list_catalog, list_resolvents, resolvent_by_id
+from .equations import QuarticSolution, ResolventSolution, equation_by_id, list_catalog, list_resolvents, resolvent_by_id
 from .errors import (
     DescentForgeError,
     InternalInvariantBroken,
@@ -286,8 +286,8 @@ def _render_json(document: dict) -> str:
 
 def _csv_rows(document: dict, command: str) -> list[list]:
     if command == "search":
-        header = ["x", "y", "xp", "yp"] if _is_resolvent(document["target"]) else ["x", "y", "z"]
-        return [header] + [list(sol) for sol in document["solutions"]]
+        point = ResolventSolution if _is_resolvent(document["target"]) else QuarticSolution
+        return [list(point.coordinates)] + [list(sol) for sol in document["solutions"]]
     if command == "verify-table":
         rows = [["target", "verdict", "solution_count", "orbit_count"]]
         for outcome in document["targets"]:

@@ -217,9 +217,7 @@ class DescentStep(Frozen):
             raise InternalInvariantBroken(
                 f"descent did not shrink: nu_out={self.nu_out} >= nu_in={self.nu_in}"
             )
-        if not check_resolvent(
-            R1, self.output.x, self.output.y, self.output.xp, self.output.yp
-        ):
+        if not check_resolvent(R1, *self.output.as_tuple()):
             raise InternalInvariantBroken(
                 f"descent output {self.output.as_tuple()} does not satisfy R1"
             )
@@ -227,11 +225,9 @@ class DescentStep(Frozen):
     def to_dict(self) -> dict:
         return {
             "stage": "DescentStep",
-            "inputs": dict(
-                zip(("x", "y", "xp", "yp"), self.input.as_tuple())
-            ),
+            "inputs": self.input.named(),
             "split": dict(zip(("p", "q", "r", "s"), self.split)),
-            "outputs": dict(zip(("x", "y", "xp", "yp"), self.output.as_tuple())),
+            "outputs": self.output.named(),
             "nu_in": self.nu_in,
             "nu_out": self.nu_out,
         }

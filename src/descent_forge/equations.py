@@ -7,12 +7,14 @@ systems and solutions are immutable plain classes on the package's
 slotted Frozen base rather than dataclasses, which were slow to import.
 Each lists its fields once, in __match_args__, and the base's one
 constructor binds them; equations and systems then check their
-coefficients. Solutions carry primitivity and triviality flags.
+coefficients. Solutions carry primitivity and triviality flags, and
+each solution class names its coordinates once, in coordinates.
 """
 
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
 from ._value import Frozen
 from .core_arith import isqrt_exact
@@ -95,19 +97,37 @@ def _term(coeff: int, symbol: str, first: bool = False) -> str:
     return f"+ {body}" if coeff > 0 else f"- {body}"
 
 
-class QuarticSolution(Frozen):
+class _Point(Frozen):
+    """A solution record: the class tuple coordinates names its coordinate
+    fields in order, and is the one home of those names."""
+
+    __slots__ = ()
+    coordinates: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        # A C-level getter: the quartic kernel calls as_tuple per solution.
+        cls._coordinate_values = staticmethod(attrgetter(*cls.coordinates))
+
+    def as_tuple(self) -> tuple[int, ...]:
+        return self._coordinate_values(self)
+
+    def named(self) -> dict[str, int]:
+        """The coordinates by name, as a trace records a point."""
+        return dict(zip(self.coordinates, self._coordinate_values(self)))
+
+
+class QuarticSolution(_Point):
     """Integer point (x, y, z) on a catalog equation.
 
     trivial means x*y = 0 or |x| = |y|; primitive means gcd(x, y) = 1.
     """
 
-    __slots__ = __match_args__ = ("x", "y", "z", "primitive", "trivial")
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.x, self.y, self.z)
+    coordinates = ("x", "y", "z")
+    __slots__ = __match_args__ = (*coordinates, "primitive", "trivial")
 
 
-class ResolventSolution(Frozen):
+class ResolventSolution(_Point):
     """Integer point (x, y, xp, yp) on a resolvent system.
 
     trivial means x*y = 0. The side conditions (product equality and
@@ -115,10 +135,8 @@ class ResolventSolution(Frozen):
     this type always satisfy them.
     """
 
-    __slots__ = __match_args__ = ("system_id", "x", "y", "xp", "yp", "trivial")
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.x, self.y, self.xp, self.yp)
+    coordinates = ("x", "y", "xp", "yp")
+    __slots__ = __match_args__ = ("system_id", *coordinates, "trivial")
 
 
 R1 = ResolventSystem("R1", 1, -1, 1, 1)

@@ -82,10 +82,20 @@ class ReductionTrace(Frozen):
         }
 
 
-def _canonicalize(values: dict[str, int]) -> tuple[tuple[int, ...], dict[str, int]]:
-    """Componentwise absolute values, in order, plus the applied signs."""
-    signs = {name: (-1 if value < 0 else 1) for name, value in values.items()}
-    return tuple(abs(value) for value in values.values()), signs
+def _canonicalize(point: QuarticSolution | ResolventSolution) -> tuple[dict, dict]:
+    """The point's coordinates by name as absolute values, plus the applied signs."""
+    named = point.named()
+    signs = {name: (-1 if value < 0 else 1) for name, value in named.items()}
+    return {name: abs(value) for name, value in named.items()}, signs
+
+
+def _exact_roots(name: str, values: dict[str, int], **squares: int) -> dict[str, int]:
+    """The exact root of each named square, by the root's name; a square
+    without one raises StageFailure(name, values)."""
+    roots = {root: isqrt_exact(square) for root, square in squares.items()}
+    if None in roots.values():
+        raise StageFailure(name, values)
+    return roots
 
 
 def forward_reduce_biquadratic(x: int, y: int, z: int) -> tuple[ResolventSolution, ReductionTrace]:
@@ -103,10 +113,11 @@ def forward_reduce_biquadratic(x: int, y: int, z: int) -> tuple[ResolventSolutio
     NotASolution or NotPrimitive. The pipeline itself is exercised through
     _forward_stages.
     """
-    quartic_solution(equation_by_id("E2"), x, y, z)
-    if x * y == 0:
+    solution = quartic_solution(equation_by_id("E2"), x, y, z)
+    if solution.trivial:
         raise TrivialInput(f"({x}, {y}, {z}) is a trivial solution of E2")
-    (x, y, z), signs = _canonicalize({"x": x, "y": y, "z": z})
+    canonical, signs = _canonicalize(solution)
+    x, y, z = canonical.values()
     if math.gcd(x, 2 * y) != 1:
         raise NotPrimitive(f"gcd({x}, 2*{y}) != 1")
     return _forward_stages(x, y, z, signs)
@@ -128,30 +139,21 @@ def _forward_stages(
     steps = [TraceStep(STAGE_TRIPLE_DECOMPOSE, triple, {"u": u, "v": v})]
 
     # u*v = y^2 with gcd(u, v) = 1, so each factor is a perfect square.
-    s = isqrt_exact(u)
-    t = isqrt_exact(v)
-    if s is None or t is None:
-        raise StageFailure(STAGE_SQUARE_EXTRACT, {"u": u, "v": v})
-    steps.append(TraceStep(STAGE_SQUARE_EXTRACT, {"u": u, "v": v}, {"s": s, "t": t}))
+    factors = {"u": u, "v": v}
+    roots = _exact_roots(STAGE_SQUARE_EXTRACT, factors, s=u, t=v)
+    s, t = roots.values()
+    steps.append(TraceStep(STAGE_SQUARE_EXTRACT, factors, roots))
 
     # x^2 = s^4 - t^4 = (s^2 + t^2)(s^2 - t^2); the factors are coprime
     # (both odd since t is even), so each is a square in its own right.
     total = s * s + t * t
     diff = s * s - t * t
+    forms = {"sum": total, "difference": diff}
     if math.gcd(total, diff) != 1:
-        raise StageFailure(
-            STAGE_DIFFERENCE_OF_SQUARES,
-            {"sum": total, "difference": diff, "gcd": math.gcd(total, diff)},
-        )
-    alpha = isqrt_exact(total)
-    beta = isqrt_exact(diff)
-    if alpha is None or beta is None:
-        raise StageFailure(STAGE_DIFFERENCE_OF_SQUARES, {"sum": total, "difference": diff})
-    steps.append(TraceStep(
-        STAGE_DIFFERENCE_OF_SQUARES,
-        {"x": x, "s": s, "t": t},
-        {"alpha": alpha, "beta": beta},
-    ))
+        raise StageFailure(STAGE_DIFFERENCE_OF_SQUARES, {**forms, "gcd": math.gcd(total, diff)})
+    roots = _exact_roots(STAGE_DIFFERENCE_OF_SQUARES, forms, alpha=total, beta=diff)
+    alpha, beta = roots.values()
+    steps.append(TraceStep(STAGE_DIFFERENCE_OF_SQUARES, {"x": x, "s": s, "t": t}, roots))
 
     # alpha^2 = s^2 + t^2 and beta^2 = s^2 - t^2 are primitive triples
     # sharing the legs; their generator pairs are the output.
@@ -164,12 +166,8 @@ def _forward_stages(
 
     with stage(STAGE_ASSEMBLE, generators):
         result = resolvent_solution(R1, lam, gam, lam_p, gam_p)
-    steps.append(TraceStep(
-        STAGE_ASSEMBLE,
-        dict(generators),
-        {"x": result.x, "y": result.y, "xp": result.xp, "yp": result.yp},
-    ))
-    signs = signs or {"x": 1, "y": 1, "z": 1}
+    steps.append(TraceStep(STAGE_ASSEMBLE, dict(generators), result.named()))
+    signs = signs or dict.fromkeys(QuarticSolution.coordinates, 1)
     return result, ReductionTrace(KIND_BIQUADRATIC_REDUCE, (x, y, z), signs, tuple(steps), result)
 
 
@@ -185,33 +183,25 @@ def backward_lift_biquadratic(
 
         (psi*phi)^4 + 4(T*S)^4 = (T^4 + S^4)^2.
     """
-    resolvent_solution(R1, x, y, xp, yp)
-    source, signs = _canonicalize({"x": x, "y": y, "xp": xp, "yp": yp})
-    x, y, xp, yp = source
+    canonical, signs = _canonicalize(resolvent_solution(R1, x, y, xp, yp))
+    source = x, y, xp, yp = tuple(canonical.values())
 
     big_t = x * x - y * y
     big_s = 2 * x * y
-    steps = [TraceStep(
-        STAGE_DIFFERENCE_OF_SQUARES,
-        {"x": x, "y": y, "xp": xp, "yp": yp},
-        {"T": big_t, "S": big_s},
-    )]
+    steps = [TraceStep(STAGE_DIFFERENCE_OF_SQUARES, canonical, {"T": big_t, "S": big_s})]
 
-    psi = isqrt_exact(big_t * big_t + big_s * big_s)
-    phi = isqrt_exact(big_t * big_t - big_s * big_s)
-    if psi is None or phi is None:
-        raise StageFailure(STAGE_SQUARE_EXTRACT, {"T": big_t, "S": big_s})
-    steps.append(
-        TraceStep(STAGE_SQUARE_EXTRACT, {"T": big_t, "S": big_s}, {"psi": psi, "phi": phi})
-    )
+    sides = {"T": big_t, "S": big_s}
+    total, diff = big_t * big_t + big_s * big_s, big_t * big_t - big_s * big_s
+    roots = _exact_roots(STAGE_SQUARE_EXTRACT, sides, psi=total, phi=diff)
+    psi, phi = roots.values()
+    steps.append(TraceStep(STAGE_SQUARE_EXTRACT, sides, roots))
 
-    out_x = psi * phi
-    out_y = abs(big_t * big_s)
-    out_z = big_t**4 + big_s**4
-    roots = {"psi": psi, "phi": phi, "T": big_t, "S": big_s}
-    with stage(STAGE_ASSEMBLE, roots):
-        result = quartic_solution(equation_by_id("E2"), out_x, out_y, out_z)
-    steps.append(TraceStep(STAGE_ASSEMBLE, roots, {"x": out_x, "y": out_y, "z": out_z}))
+    assembled = {**roots, **sides}
+    with stage(STAGE_ASSEMBLE, assembled):
+        result = quartic_solution(
+            equation_by_id("E2"), psi * phi, abs(big_t * big_s), big_t**4 + big_s**4
+        )
+    steps.append(TraceStep(STAGE_ASSEMBLE, assembled, result.named()))
     return result, ReductionTrace(KIND_BIQUADRATIC_LIFT, source, signs, tuple(steps), result)
 
 
@@ -223,10 +213,11 @@ def sextic_to_resolvent(x: int, y: int, z: int) -> tuple[ResolventSolution, Redu
     (u, v, x, y) satisfies R1. Trivial solutions are in the domain and map
     to trivial resolvent solutions.
     """
-    if not quartic_solution(equation_by_id("E4"), x, y, z).primitive:
+    solution = quartic_solution(equation_by_id("E4"), x, y, z)
+    if not solution.primitive:
         raise NotPrimitive(f"gcd({x}, {y}) != 1")
-    source, signs = _canonicalize({"x": x, "y": y, "z": z})
-    x, y, z = source
+    canonical, signs = _canonicalize(solution)
+    source = x, y, z = tuple(canonical.values())
 
     t = x * x + y * y
     s = 2 * x * y
@@ -243,11 +234,7 @@ def sextic_to_resolvent(x: int, y: int, z: int) -> tuple[ResolventSolution, Redu
     parts = {"u": u, "v": v, "x": x, "y": y}
     with stage(STAGE_ASSEMBLE, parts):
         result = resolvent_solution(R1, u, v, x, y)
-    steps.append(TraceStep(
-        STAGE_ASSEMBLE,
-        parts,
-        {"x": result.x, "y": result.y, "xp": result.xp, "yp": result.yp},
-    ))
+    steps.append(TraceStep(STAGE_ASSEMBLE, parts, result.named()))
     return result, ReductionTrace(KIND_SYMMETRIC_REDUCE, source, signs, tuple(steps), result)
 
 
@@ -260,24 +247,18 @@ def resolvent_to_sextic(
     (xp^2 + yp^2)^2 + 4 (xp*yp)^2 which, on a solution of R1, collapses to
     (x^2 + y^2)^2; its root D completes (xp, yp) to a solution of E4.
     """
-    resolvent_solution(R1, x, y, xp, yp)
-    source, signs = _canonicalize({"x": x, "y": y, "xp": xp, "yp": yp})
-    x, y, xp, yp = source
+    canonical, signs = _canonicalize(resolvent_solution(R1, x, y, xp, yp))
+    source = x, y, xp, yp = tuple(canonical.values())
 
     d_squared = equation_by_id("E4").lhs(xp, yp)
-    d = isqrt_exact(d_squared)
-    if d is None:
-        raise StageFailure(STAGE_SQUARE_EXTRACT, {"xp": xp, "yp": yp, "value": d_squared})
-    steps = [TraceStep(
-        STAGE_SQUARE_EXTRACT,
-        {"xp": xp, "yp": yp, "value": d_squared},
-        {"D": d},
-    )]
+    completing = {"xp": xp, "yp": yp, "value": d_squared}
+    root = _exact_roots(STAGE_SQUARE_EXTRACT, completing, D=d_squared)
+    steps = [TraceStep(STAGE_SQUARE_EXTRACT, completing, root)]
 
-    completed = {"xp": xp, "yp": yp, "D": d}
+    completed = {"xp": xp, "yp": yp, **root}
     with stage(STAGE_ASSEMBLE, completed):
-        result = quartic_solution(equation_by_id("E4"), xp, yp, d)
-    steps.append(TraceStep(STAGE_ASSEMBLE, completed, {"x": xp, "y": yp, "z": d}))
+        result = quartic_solution(equation_by_id("E4"), xp, yp, root["D"])
+    steps.append(TraceStep(STAGE_ASSEMBLE, completed, result.named()))
     return result, ReductionTrace(KIND_SYMMETRIC_LIFT, source, signs, tuple(steps), result)
 
 
@@ -312,12 +293,10 @@ def replay_trace(trace: ReductionTrace) -> None:
                 f"stage {step.stage} of {trace.kind} does not replay: "
                 f"{step.inputs} -> {step.outputs}"
             )
-    final = trace.final.as_tuple()
-    names = ("x", "y", "z") if len(final) == 3 else ("x", "y", "xp", "yp")
-    last = trace.steps[-1].outputs
-    if dict(zip(names, final)) != last:
+    final, last = trace.final, trace.steps[-1].outputs
+    if final.named() != last:
         raise InternalInvariantBroken(
-            f"final {final} of {trace.kind} is not its last step's outputs {last}"
+            f"final {final.as_tuple()} of {trace.kind} is not its last step's outputs {last}"
         )
 
 

@@ -85,6 +85,8 @@ def test_unknown_ids_are_rejected(bad_id):
         equation_by_id(bad_id)
     with pytest.raises(KeyError):
         resolvent_by_id(bad_id)
+    with pytest.raises(KeyError):
+        membership_of(bad_id)
 
 
 def test_malformed_equation_is_rejected_at_construction():
@@ -331,6 +333,14 @@ _E2_REPR = "QuarticEquation(id='E2', a=1, b=0, c=4, d=1, e=2)"
 )
 def test_record_value_classes(check_value_class, cls, values, repr_text):
     check_value_class(cls, values, repr_text=repr_text)
+    # A solution record's coordinates, in field order, are what as_tuple
+    # returns and what named() maps by name.
+    coordinates = [name for name in values if name in ("x", "y", "z", "xp", "yp")]
+    if coordinates:
+        point = cls(**values)
+        assert cls.coordinates == tuple(coordinates)
+        assert point.as_tuple() == tuple(values[name] for name in coordinates)
+        assert list(point.named().items()) == [(name, values[name]) for name in coordinates]
 
 
 def test_catalog_records_equal_freshly_built_ones():

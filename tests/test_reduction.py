@@ -7,8 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from descent_forge import reduction
+from descent_forge.core_arith import isqrt_exact
 from descent_forge.equations import (
     R1,
+    QuarticSolution,
     ResolventSolution,
     equation_by_id,
     list_catalog,
@@ -24,7 +26,6 @@ from descent_forge.errors import (
     TrivialInput,
 )
 from descent_forge.reduction import (
-    KIND_BIQUADRATIC_REDUCE,
     STAGE_ASSEMBLE,
     STAGE_DIFFERENCE_OF_SQUARES,
     STAGE_SQUARE_EXTRACT,
@@ -122,6 +123,34 @@ def test_rejected_assembly_is_an_assemble_stage_failure(monkeypatch, reduce_map,
     assert info.value.stage == STAGE_ASSEMBLE
     assert info.value.values == {**values, "reason": "rejected by the test"}
     assert isinstance(info.value.__cause__, rejection)
+
+
+@pytest.mark.parametrize(
+    "reduce_map, args, exact_roots, stage_name, values",
+    [
+        (_forward_stages, (1, 0, 1), 0, STAGE_SQUARE_EXTRACT, {"u": 1, "v": 0}),
+        (_forward_stages, (1, 0, 1), 1, STAGE_SQUARE_EXTRACT, {"u": 1, "v": 0}),
+        (_forward_stages, (1, 0, 1), 2, STAGE_DIFFERENCE_OF_SQUARES, {"sum": 1, "difference": 1}),
+        (_forward_stages, (1, 0, 1), 3, STAGE_DIFFERENCE_OF_SQUARES, {"sum": 1, "difference": 1}),
+        (backward_lift_biquadratic, (1, 0, 1, 0), 0, STAGE_SQUARE_EXTRACT, {"T": 1, "S": 0}),
+        (resolvent_to_sextic, (1, 0, 1, 0), 0, STAGE_SQUARE_EXTRACT, {"xp": 1, "yp": 0, "value": 1}),
+    ],
+    ids=["E2->R1 root 1", "E2->R1 root 2", "E2->R1 root 3", "E2->R1 root 4", "R1->E2", "R1->E4"],
+)
+def test_a_missing_exact_root_is_a_stage_failure(monkeypatch, reduce_map, args, exact_roots, stage_name, values):
+    # The first exact_roots square roots are taken and every later one is
+    # refused, so a stage fails on its first root as on its second.
+    calls = []
+
+    def refusing_root(n):
+        calls.append(n)
+        return isqrt_exact(n) if len(calls) <= exact_roots else None
+
+    monkeypatch.setattr(reduction, "isqrt_exact", refusing_root)
+    with pytest.raises(StageFailure) as info:
+        reduce_map(*args)
+    assert info.value.stage == stage_name
+    assert info.value.values == values
 
 
 def test_maps_pair_each_mapped_equation_with_its_reduce_and_lift():
@@ -240,6 +269,17 @@ def test_every_map_returns_a_frozen_trace_whose_steps_own_their_dicts(kind):
     assert len({id(d) for d in dicts}) == len(dicts)
 
 
+@pytest.mark.parametrize("kind", _MAKE_TRACE)
+def test_a_trace_is_unhashable_and_replay_checks_its_dicts_as_they_stand(kind):
+    # Its fields cannot be assigned, but its step dicts are not copied.
+    _, trace = _MAKE_TRACE[kind]()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(trace)
+    trace.steps[-1].outputs["x"] += 1
+    with pytest.raises(InternalInvariantBroken, match="does not replay"):
+        replay_trace(trace)
+
+
 @pytest.mark.parametrize(
     "quad,expected",
     [((1, 0, 1, 0), (1, 0, 1)), ((1, 0, 0, 1), (1, 0, 1))],
@@ -254,6 +294,7 @@ def test_backward_lift_values(quad, expected):
 def test_backward_lift_canonicalizes_signs():
     sol, trace = backward_lift_biquadratic(-1, 0, -1, 0)
     assert sol.as_tuple() == (1, 0, 1)
+    assert trace.source == (1, 0, 1, 0)
     assert trace.sign_changes == {"x": -1, "y": 1, "xp": -1, "yp": 1}
 
 
@@ -320,13 +361,23 @@ def test_lift_soundness_over_all_searched_resolvent_solutions():
         replay_trace(trace)
 
 
-def test_forward_trace_records_kind_and_signs():
-    _, trace = _forward_stages(1, 0, 1)
+@pytest.mark.parametrize(
+    "kind, source_record, source, final",
+    [
+        ("E2->R1", QuarticSolution, [1, 0, 1], [1, 0, 1, 0]),
+        ("R1->E2", ResolventSolution, [1, 0, 1, 0], [1, 0, 1]),
+        ("E4->R1", QuarticSolution, [0, 1, 1], [1, 0, 0, 1]),
+        ("R1->E4", ResolventSolution, [1, 0, 1, 0], [1, 0, 1]),
+    ],
+    ids=list(_MAKE_TRACE),
+)
+def test_forward_trace_records_kind_and_signs(kind, source_record, source, final):
+    _, trace = _MAKE_TRACE[kind]()
     data = trace.to_dict()
-    assert data["kind"] == KIND_BIQUADRATIC_REDUCE
-    assert data["source"] == [1, 0, 1]
-    assert data["final"] == [1, 0, 1, 0]
-    assert set(data["sign_changes"]) == {"x", "y", "z"}
+    assert data["kind"] == kind
+    assert data["source"] == source
+    assert data["final"] == final
+    assert list(data["sign_changes"]) == list(source_record.coordinates)
     assert all(step["stage"] for step in data["steps"])
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from descent_forge import search
+from descent_forge import reduction, search
 from descent_forge.core_arith import isqrt_exact
 from descent_forge.equations import (
     R1,
@@ -22,7 +22,7 @@ from descent_forge.equations import (
     eval_quartic,
     list_catalog,
 )
-from descent_forge.errors import BoundExceeded
+from descent_forge.errors import BoundExceeded, StageFailure
 from descent_forge.search import (
     QUARTIC_BOUND_LIMIT,
     RESOLVENT_BOUND_LIMIT,
@@ -32,6 +32,7 @@ from descent_forge.search import (
     VERDICT_COUNTEREXAMPLE,
     _SIEVE_MODULI,
     _cross_check,
+    _judged,
     _quartic_outcome,
     _sieve_tables,
     all_consistent,
@@ -421,6 +422,26 @@ def test_quartic_outcome_scans_once_and_matches_two_scans(eq_id, monkeypatch):
     monkeypatch.setattr(search, "search_quartic", counting)
     assert _quartic_outcome(eq, 200, 1).to_dict() == expected
     assert len(calls) == 1
+
+
+def test_cross_check_of_an_imprimitive_e4_point_expects_not_primitive():
+    assert _cross_check("E4", 2, 0, 4) == {
+        "solution": [2, 0, 4], "expected": "NotPrimitive", "actual": "NotPrimitive", "ok": True,
+    }
+
+
+def test_a_stage_failure_in_a_cross_check_makes_a_counterexample(monkeypatch):
+    def failing(*_):
+        raise StageFailure("TripleDecompose", {"t": 1, "s": 0, "z": 1})
+
+    monkeypatch.setattr(reduction, "sextic_to_resolvent", failing)
+    check = _cross_check("E4", 1, 0, 1)
+    assert check == {
+        "solution": [1, 0, 1], "expected": "ok", "actual": "StageFailure:TripleDecompose", "ok": False,
+    }
+    report = search_quartic(equation_by_id("E4"), 1)
+    assert report.solutions == ()
+    assert _judged("E4", report, (check,)).verdict == VERDICT_COUNTEREXAMPLE
 
 
 def test_reports_are_identical_across_partitionings_and_threads():
