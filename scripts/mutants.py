@@ -14,8 +14,8 @@ unmutated copy, where they must pass.
 Exits 1 if a mutant survives, if a snippet does not occur exactly once in
 its file (so the table cannot go stale silently), or if a run neither
 passes nor fails (a test id that no longer exists, a collection error);
-else 0. Needs pytest and hypothesis, as the tests do. The 22 rows take
-about 36-40 s on a 2-vCPU host.
+else 0. Needs pytest and hypothesis, as the tests do. The 30 rows take
+about 40 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -45,15 +45,15 @@ MUTANTS = (
     (
         "twin-triple replay ignores alpha",
         f"{PACKAGE}/reduction.py",
-        '        and i["alpha"] == lam * lam + gam * gam\n',
-        "",
+        'i["t"], i["alpha"])',
+        'i["t"], o["lam"] ** 2 + o["gam"] ** 2)',
         ("tests/test_reduction.py::test_replay_rejects_a_tampered_twin_triple_side",),
     ),
     (
         "twin-triple replay ignores beta",
         f"{PACKAGE}/reduction.py",
-        '        and i["beta"] == lam_p * lam_p - gam_p * gam_p\n',
-        "",
+        'i["beta"], i["t"], i["s"])',
+        'o["lam_p"] ** 2 - o["gam_p"] ** 2, i["t"], i["s"])',
         ("tests/test_reduction.py::test_replay_rejects_a_tampered_twin_triple_side",),
     ),
     (
@@ -202,7 +202,69 @@ MUTANTS = (
         f"{PACKAGE}/reduction.py",
         "return {name: abs(value) for name, value in named.items()}, signs",
         "return dict(named), signs",
-        ("tests/test_reduction.py::test_backward_lift_canonicalizes_signs",),
+        (
+            "tests/test_reduction.py::test_backward_lift_canonicalizes_signs",
+            "tests/test_reduction.py::test_replay_accepts_a_signed_input_but_not_a_signed_source",
+        ),
+    ),
+    (
+        "replay accepts a negative source",
+        f"{PACKAGE}/reduction.py",
+        "if any(value < 0 for value in source) or ",
+        "if ",
+        ("tests/test_reduction.py::test_replay_accepts_a_signed_input_but_not_a_signed_source",),
+    ),
+    (
+        "replay accepts sign changes out of order",
+        f"{PACKAGE}/reduction.py",
+        "tuple(signs) != point.coordinates",
+        "set(signs) != set(point.coordinates)",
+        ("tests/test_reduction.py::test_replay_rejects_an_uncanonical_source_or_sign_changes",),
+    ),
+    (
+        "replay accepts a sign change other than 1 or -1",
+        f"{PACKAGE}/reduction.py",
+        " or set(signs.values()) - {1, -1}:",
+        ":",
+        ("tests/test_reduction.py::test_replay_rejects_an_uncanonical_source_or_sign_changes",),
+    ),
+    (
+        "E4->R1 replay does not tie (t, s) to x and y",
+        f"{PACKAGE}/reduction.py",
+        ' and i["t"] == x * x + y * y and i["s"] == 2 * x * y',
+        "",
+        ("tests/test_reduction.py::test_replay_rejects_a_symmetric_triple_not_built_from_x_and_y",),
+    ),
+    (
+        "a --tuple metavar in lower case",
+        f"{PACKAGE}/cli.py",
+        'metavar=",".join(point.coordinates).upper())',
+        'metavar=",".join(point.coordinates))',
+        ("tests/test_cli.py::test_point_commands_name_the_coordinates_in_their_usage",),
+    ),
+    (
+        "the reduce row takes a resolvent point",
+        f"{PACKAGE}/cli.py",
+        "_map_arguments(QuarticSolution)",
+        "_map_arguments(ResolventSolution)",
+        (
+            "tests/test_cli.py::test_point_commands_name_the_coordinates_in_their_usage",
+            "tests/test_cli.py::test_reduce_command_trace",
+        ),
+    ),
+    (
+        "a quartic point runs the lift",
+        f"{PACKAGE}/cli.py",
+        "(reduce if args.point is QuarticSolution else lift)",
+        "lift",
+        ("tests/test_cli.py::test_reduce_command_trace",),
+    ),
+    (
+        "the catalog row runs another command's handler",
+        f"{PACKAGE}/cli.py",
+        "lambda sub: None, _cmd_catalog)",
+        "lambda sub: None, _cmd_verify_table)",
+        ("tests/test_cli.py::test_catalog_document",),
     ),
 )
 

@@ -19,6 +19,10 @@ once-per-process parser cache: a cached tree leaves the collector no
 garbage per call, and in the benchmark's closed loop that makes full
 collections so rare that reference cycles the harness keeps pile up and
 raise peak memory (ROADMAP, item 2).
+
+Each command is one row of ``_COMMANDS``: its help text, the function that
+adds its own arguments, and its handler. A ``--tuple`` takes the shape of a
+point record: its metavar and its arity are the record's coordinates.
 """
 
 from __future__ import annotations
@@ -59,10 +63,17 @@ def _tuple_arg(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _require_arity(values: tuple[int, ...], arity: int) -> tuple[int, ...]:
-    if len(values) != arity:
-        raise ValueError(f"expected {arity} comma-separated integers, got {len(values)}")
-    return values
+def _point_arguments(sub: argparse.ArgumentParser, point: type) -> None:
+    """Add ``--tuple`` for one point record, named by its coordinates."""
+    sub.add_argument("--tuple", required=True, type=_tuple_arg, dest="values", metavar=",".join(point.coordinates).upper())
+    sub.set_defaults(point=point)
+
+
+def _point_values(args) -> tuple[int, ...]:
+    arity = len(args.point.coordinates)
+    if len(args.values) != arity:
+        raise ValueError(f"expected {arity} comma-separated integers, got {len(args.values)}")
+    return args.values
 
 
 def _search_arguments(sub: argparse.ArgumentParser) -> None:
@@ -76,19 +87,18 @@ def _search_arguments(sub: argparse.ArgumentParser) -> None:
         help="drop the gcd(x, y) = 1 filter (quartic targets only)",
     )
     sub.add_argument("--threads", type=int, default=None, help="validated only; scans run on one thread")
-    sub.set_defaults(handler=_cmd_search)
 
 
-def _map_arguments(sub: argparse.ArgumentParser, metavar: str) -> None:
-    sub.add_argument("--target", required=True, choices=reduction.MAPPED_IDS)
-    sub.add_argument("--tuple", required=True, type=_tuple_arg, dest="values", metavar=metavar)
-    sub.set_defaults(handler=_cmd_map)
+def _map_arguments(point: type):
+    def add(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument("--target", required=True, choices=reduction.MAPPED_IDS)
+        _point_arguments(sub, point)
+    return add
 
 
 def _descend_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--target", default="R1", help="resolvent id (only R1 is supported)")
-    sub.add_argument("--tuple", required=True, type=_tuple_arg, dest="values", metavar="X,Y,XP,YP")
-    sub.set_defaults(handler=_cmd_descend)
+    _point_arguments(sub, ResolventSolution)
 
 
 def _residues_arguments(sub: argparse.ArgumentParser) -> None:
@@ -100,7 +110,6 @@ def _residues_arguments(sub: argparse.ArgumentParser) -> None:
         action="store_true",
         help="report the factor-count lower bound with its supporting analyses",
     )
-    sub.set_defaults(handler=_cmd_residues)
 
 
 def _verify_table_arguments(sub: argparse.ArgumentParser) -> None:
@@ -112,24 +121,6 @@ def _verify_table_arguments(sub: argparse.ArgumentParser) -> None:
         help="resolvent grid bound",
     )
     sub.add_argument("--threads", type=int, default=None, help="validated only; scans run on one thread")
-    sub.set_defaults(handler=_cmd_verify_table)
-
-
-def _catalog_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.set_defaults(handler=_cmd_catalog)
-
-
-# Command name -> (help text, function adding the command's own arguments),
-# in the order the top-level help lists them.
-_COMMANDS = {
-    "search": ("bounded exhaustive search on one catalog or resolvent target", _search_arguments),
-    "reduce": ("map a quartic solution down to its resolvent", lambda sub: _map_arguments(sub, "X,Y,Z")),
-    "lift": ("map a resolvent solution up to a quartic solution", lambda sub: _map_arguments(sub, "X,Y,XP,YP")),
-    "descend": ("run the descent chain on a resolvent solution", _descend_arguments),
-    "residues": ("residue-class obstruction analysis for a resolvent", _residues_arguments),
-    "verify-table": ("scan every catalog target and report verdicts", _verify_table_arguments),
-    "catalog": ("list the equation catalog and the resolvent systems", _catalog_arguments),
-}
 
 
 def _add_command_arguments(parser: argparse.ArgumentParser, name: str) -> None:
@@ -144,7 +135,9 @@ def _add_command_arguments(parser: argparse.ArgumentParser, name: str) -> None:
         action="store_true",
         help="include elapsed_ms in reports (off by default for byte-stable output)",
     )
-    _COMMANDS[name][1](parser)
+    _, add_arguments, handler = _COMMANDS[name]
+    add_arguments(parser)
+    parser.set_defaults(handler=handler)
 
 
 def _command_parser(name: str) -> _Parser:
@@ -163,7 +156,7 @@ def build_parser() -> _Parser:
     nothing is cached)."""
     parser = _Parser(prog="descent-forge", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (help_text, _) in _COMMANDS.items():
+    for name, (help_text, *_) in _COMMANDS.items():
         _add_command_arguments(commands.add_parser(name, help=help_text), name)
     return parser
 
@@ -209,17 +202,13 @@ def _cmd_search(args) -> tuple[dict, int]:
 
 def _cmd_map(args) -> tuple[dict, int]:
     reduce, lift = reduction.maps(args.target)
-    if args.command == "reduce":
-        _, trace = reduce(*_require_arity(args.values, 3))
-    else:
-        _, trace = lift(*_require_arity(args.values, 4))
+    _, trace = (reduce if args.point is QuarticSolution else lift)(*_point_values(args))
     reduction.replay_trace(trace)
     return trace.to_dict(), EXIT_OK
 
 
 def _cmd_descend(args) -> tuple[dict, int]:
-    x, y, xp, yp = _require_arity(args.values, 4)
-    trace = descent.descent_chain(x, y, xp, yp, system=resolvent_by_id(args.target))
+    trace = descent.descent_chain(*_point_values(args), system=resolvent_by_id(args.target))
     document = trace.to_dict()
     failed = trace.terminal.kind == descent.TERMINAL_STAGE_FAILURE
     return document, EXIT_FINDING if failed else EXIT_OK
@@ -278,6 +267,19 @@ def _cmd_catalog(args) -> tuple[dict, int]:
         ],
     }
     return document, EXIT_OK
+
+
+# Command name -> (help text, function adding the command's own arguments,
+# handler), in the order the top-level help lists them.
+_COMMANDS = {
+    "search": ("bounded exhaustive search on one catalog or resolvent target", _search_arguments, _cmd_search),
+    "reduce": ("map a quartic solution down to its resolvent", _map_arguments(QuarticSolution), _cmd_map),
+    "lift": ("map a resolvent solution up to a quartic solution", _map_arguments(ResolventSolution), _cmd_map),
+    "descend": ("run the descent chain on a resolvent solution", _descend_arguments, _cmd_descend),
+    "residues": ("residue-class obstruction analysis for a resolvent", _residues_arguments, _cmd_residues),
+    "verify-table": ("scan every catalog target and report verdicts", _verify_table_arguments, _cmd_verify_table),
+    "catalog": ("list the equation catalog and the resolvent systems", lambda sub: None, _cmd_catalog),
+}
 
 
 def _render_json(document: dict) -> str:
@@ -389,14 +391,11 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantBroken as exc:
         print(f"descent-forge: internal invariant broken: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except DescentForgeError as exc:
+    except (DescentForgeError, ValueError) as exc:
         print(f"descent-forge: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyError as exc:
         print(f"descent-forge: error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"descent-forge: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(_render(document, args.format, args.command))
     return status

@@ -279,14 +279,19 @@ def replay_trace(trace: ReductionTrace) -> None:
     """Re-derive a trace from its recorded inputs.
 
     Raises InternalInvariantBroken unless the steps are their kind's stages
-    in order, each step's outputs follow from its inputs under the stage's
-    defining identity, and final holds the last step's outputs.
+    in order, source is non-negative, sign_changes maps each coordinate of
+    the kind's input record, in order, to 1 or -1, each step's outputs
+    follow from its inputs under the stage's defining identity, and final
+    holds the last step's outputs.
     """
-    sequence = _REPLAY_SEQUENCES.get(trace.kind, ())
+    point, sequence = _REPLAY_SEQUENCES.get(trace.kind, (None, ()))
     stages = [step.stage for step in trace.steps]
     expected = [name for name, _ in sequence]
     if not sequence or stages != expected:
         raise InternalInvariantBroken(f"stages {stages} of {trace.kind} are not {expected}")
+    source, signs = trace.source, trace.sign_changes
+    if any(value < 0 for value in source) or tuple(signs) != point.coordinates or set(signs.values()) - {1, -1}:
+        raise InternalInvariantBroken(f"source {source} and sign changes {signs} of {trace.kind} are not canonical")
     for step, (_, check) in zip(trace.steps, sequence):
         if not check(step.inputs, step.outputs):
             raise InternalInvariantBroken(
@@ -300,13 +305,18 @@ def replay_trace(trace: ReductionTrace) -> None:
         )
 
 
-def _check_triple_decompose(i: dict, o: dict) -> bool:
-    a, b, c = (i["a"], i["b"], i["c"]) if "a" in i else (i["t"], i["s"], i["z"])
-    u, v = o["u"], o["v"]
-    ok = a == u * u - v * v and b == 2 * u * v and c == u * u + v * v
-    if "x" in i and "y" in i:
-        ok = ok and a == i["x"] ** 2 + i["y"] ** 2 and b == 2 * i["x"] * i["y"]
-    return ok
+def _generated(u: int, v: int, a: int, b: int, c: int) -> bool:
+    """Whether (u, v) generates the triple: a = u^2 - v^2, b = 2uv, c = u^2 + v^2."""
+    return a == u * u - v * v and b == 2 * u * v and c == u * u + v * v
+
+
+def _check_forward_triple(i: dict, o: dict) -> bool:
+    return _generated(o["u"], o["v"], i["a"], i["b"], i["c"])
+
+
+def _check_symmetric_triple(i: dict, o: dict) -> bool:
+    x, y = i["x"], i["y"]
+    return _generated(o["u"], o["v"], i["t"], i["s"], i["z"]) and i["t"] == x * x + y * y and i["s"] == 2 * x * y
 
 
 def _check_forward_square_extract(i: dict, o: dict) -> bool:
@@ -324,15 +334,9 @@ def _check_forward_difference(i: dict, o: dict) -> bool:
 
 
 def _check_twin_decompose(i: dict, o: dict) -> bool:
-    s, t = i["s"], i["t"]
-    lam, gam, lam_p, gam_p = o["lam"], o["gam"], o["lam_p"], o["gam_p"]
     return (
-        s == lam * lam - gam * gam
-        and t == 2 * lam * gam
-        and i["alpha"] == lam * lam + gam * gam
-        and s == lam_p * lam_p + gam_p * gam_p
-        and t == 2 * lam_p * gam_p
-        and i["beta"] == lam_p * lam_p - gam_p * gam_p
+        _generated(o["lam"], o["gam"], i["s"], i["t"], i["alpha"])
+        and _generated(o["lam_p"], o["gam_p"], i["beta"], i["t"], i["s"])
     )
 
 
@@ -384,25 +388,27 @@ def _check_symmetric_final(i: dict, o: dict) -> bool:
     return (x, y, z) == (i["xp"], i["yp"], i["D"]) and equation_by_id("E4").is_solution(x, y, z)
 
 
+# Kind -> (the input record whose coordinates key sign_changes, the stages
+# with their replay checks in order).
 _REPLAY_SEQUENCES = {
-    KIND_BIQUADRATIC_REDUCE: (
-        (STAGE_TRIPLE_DECOMPOSE, _check_triple_decompose),
+    KIND_BIQUADRATIC_REDUCE: (QuarticSolution, (
+        (STAGE_TRIPLE_DECOMPOSE, _check_forward_triple),
         (STAGE_SQUARE_EXTRACT, _check_forward_square_extract),
         (STAGE_DIFFERENCE_OF_SQUARES, _check_forward_difference),
         (STAGE_TWIN_TRIPLE_DECOMPOSE, _check_twin_decompose),
         (STAGE_ASSEMBLE, _check_forward_assemble),
-    ),
-    KIND_BIQUADRATIC_LIFT: (
+    )),
+    KIND_BIQUADRATIC_LIFT: (ResolventSolution, (
         (STAGE_DIFFERENCE_OF_SQUARES, _check_lift_ts),
         (STAGE_SQUARE_EXTRACT, _check_lift_square_extract),
         (STAGE_ASSEMBLE, _check_lift_assemble),
-    ),
-    KIND_SYMMETRIC_REDUCE: (
-        (STAGE_TRIPLE_DECOMPOSE, _check_triple_decompose),
+    )),
+    KIND_SYMMETRIC_REDUCE: (QuarticSolution, (
+        (STAGE_TRIPLE_DECOMPOSE, _check_symmetric_triple),
         (STAGE_ASSEMBLE, _check_symmetric_assemble),
-    ),
-    KIND_SYMMETRIC_LIFT: (
+    )),
+    KIND_SYMMETRIC_LIFT: (ResolventSolution, (
         (STAGE_SQUARE_EXTRACT, _check_symmetric_root),
         (STAGE_ASSEMBLE, _check_symmetric_final),
-    ),
+    )),
 }

@@ -175,6 +175,24 @@ def test_tuple_parsing_errors(capsys):
     assert (code, out, err) == (1, "", "descent-forge: error: expected 4 comma-separated integers, got 3\n")
     code, out, err = run_cli(capsys, ["reduce", "--target", "E4", "--tuple=1,0,1,0"])
     assert (code, out, err) == (1, "", "descent-forge: error: expected 3 comma-separated integers, got 4\n")
+    code, out, err = run_cli(capsys, ["descend", "--tuple=1,0,1"])
+    assert (code, out, err) == (1, "", "descent-forge: error: expected 4 comma-separated integers, got 3\n")
+
+
+@pytest.mark.parametrize(
+    "command, usage",
+    [
+        ("reduce", "--target {E2,E4} --tuple X,Y,Z"),
+        ("lift", "--target {E2,E4} --tuple X,Y,XP,YP"),
+        ("descend", "[--target TARGET] --tuple X,Y,XP,YP"),
+    ],
+)
+def test_point_commands_name_the_coordinates_in_their_usage(capsys, command, usage):
+    # Compared with the line breaks folded, so the terminal width does not matter.
+    code, out, _ = run_cli(capsys, [command, "--help"])
+    assert code == 0
+    first = " ".join(out.split("\n\n")[0].split())
+    assert first == f"usage: descent-forge {command} [-h] [--format {{json,csv,text}}] [--timing] {usage}"
 
 
 def test_missing_command_and_help_exit_codes(capsys):

@@ -257,6 +257,57 @@ def test_replay_rejects_a_replaced_final(kind, other_final):
         replay_trace(_rebuilt(trace, final=other_final))
 
 
+# Each tampering leaves the steps and final as the map recorded them.
+_UNCANONICAL = {
+    "negative source": lambda trace: {"source": (-1,) + trace.source[1:]},
+    "foreign sign names": lambda trace: {"sign_changes": {"x": 7}},
+    "a sign of 0": lambda trace: {"sign_changes": {**trace.sign_changes, "y": 0}},
+    "signs out of order": lambda trace: {"sign_changes": dict(reversed(trace.sign_changes.items()))},
+    "a sign missing": lambda trace: {"sign_changes": dict(list(trace.sign_changes.items())[:-1])},
+}
+
+
+@pytest.mark.parametrize("tampering", _UNCANONICAL)
+@pytest.mark.parametrize("kind", _MAKE_TRACE)
+def test_replay_rejects_an_uncanonical_source_or_sign_changes(kind, tampering):
+    _, trace = _MAKE_TRACE[kind]()
+    with pytest.raises(InternalInvariantBroken, match="not canonical"):
+        replay_trace(_rebuilt(trace, **_UNCANONICAL[tampering](trace)))
+
+
+# Signed inputs of three kinds (E2 has no non-trivial point to reduce).
+_SIGNED_MAPS = {
+    "R1->E2": lambda: backward_lift_biquadratic(-1, 0, -1, 0),
+    "R1->E4": lambda: resolvent_to_sextic(-1, 0, -1, 0),
+    "E4->R1": lambda: sextic_to_resolvent(-1, 0, 1),
+}
+
+
+@pytest.mark.parametrize("kind", _SIGNED_MAPS)
+def test_replay_accepts_a_signed_input_but_not_a_signed_source(monkeypatch, kind):
+    _, trace = _SIGNED_MAPS[kind]()
+    assert trace.sign_changes["x"] == -1
+    replay_trace(trace)
+    # Every stage identity is even in the signs, so only the source check
+    # sees that a sign-keeping canonicalization's first step read a signed point.
+    canonicalize = reduction._canonicalize
+    monkeypatch.setattr(reduction, "_canonicalize", lambda point: (point.named(), canonicalize(point)[1]))
+    _, trace = _SIGNED_MAPS[kind]()
+    assert min(trace.source) == -1
+    with pytest.raises(InternalInvariantBroken, match="not canonical"):
+        replay_trace(trace)
+
+
+def test_replay_rejects_a_symmetric_triple_not_built_from_x_and_y():
+    # (t, s, z) = (1, 0, 1) is generated by (1, 0) whatever x and y say, so
+    # only the tie t = x^2 + y^2, s = 2xy sees a changed x.
+    _, trace = sextic_to_resolvent(1, 0, 1)
+    first = trace.steps[0]
+    tampered = TraceStep(first.stage, {**first.inputs, "x": 2}, first.outputs)
+    with pytest.raises(InternalInvariantBroken, match="TripleDecompose .* does not replay"):
+        replay_trace(_rebuilt(trace, steps=(tampered,) + trace.steps[1:]))
+
+
 @pytest.mark.parametrize("kind", _MAKE_TRACE)
 def test_every_map_returns_a_frozen_trace_whose_steps_own_their_dicts(kind):
     result, trace = _MAKE_TRACE[kind]()
