@@ -14,8 +14,8 @@ unmutated copy, where they must pass.
 Exits 1 if a mutant survives, if a snippet does not occur exactly once in
 its file (so the table cannot go stale silently), or if a run neither
 passes nor fails (a test id that no longer exists, a collection error);
-else 0. Needs pytest and hypothesis, as the tests do. The 30 rows take
-about 40 s on a 2-vCPU host.
+else 0. Needs pytest and hypothesis, as the tests do. The 31 rows take
+about 45 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -234,6 +234,16 @@ MUTANTS = (
         ' and i["t"] == x * x + y * y and i["s"] == 2 * x * y',
         "",
         ("tests/test_reduction.py::test_replay_rejects_a_symmetric_triple_not_built_from_x_and_y",),
+    ),
+    (
+        "a map returns its trace without replaying it",
+        f"{PACKAGE}/reduction.py",
+        "return replay_trace(ReductionTrace(KIND_SYMMETRIC_REDUCE, source, signs, tuple(steps), result))",
+        "return ReductionTrace(KIND_SYMMETRIC_REDUCE, source, signs, tuple(steps), result)",
+        (
+            "tests/test_reduction.py::test_replay_accepts_a_signed_input_but_not_a_signed_source",
+            "tests/test_cli.py::test_internal_invariant_exits_three",
+        ),
     ),
     (
         "a --tuple metavar in lower case",

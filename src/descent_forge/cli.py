@@ -5,7 +5,9 @@ standard output; diagnostics go to standard error. JSON output is
 canonical (sorted keys, compact separators, trailing newline) so repeated
 runs are byte-comparable. Exit statuses: 0 success or CONSISTENT, 1 usage
 error (including inputs outside an operation's domain), 2 COUNTEREXAMPLE
-or StageFailure, 3 broken internal invariant.
+or StageFailure, 3 broken internal invariant. ``descend`` reports a
+trivial or non-solution input as its trace's terminal and exits 0; its
+StageFailure terminal exits 2.
 
 Each ``main`` call builds its own argparse parser and drops it on return.
 When the first argument is a command name, that parser is the command's
@@ -202,8 +204,7 @@ def _cmd_search(args) -> tuple[dict, int]:
 
 def _cmd_map(args) -> tuple[dict, int]:
     reduce, lift = reduction.maps(args.target)
-    _, trace = (reduce if args.point is QuarticSolution else lift)(*_point_values(args))
-    reduction.replay_trace(trace)
+    trace = (reduce if args.point is QuarticSolution else lift)(*_point_values(args))
     return trace.to_dict(), EXIT_OK
 
 

@@ -11,6 +11,8 @@ maps(eq_id) returns either pair as (reduce, lift).
 
 Every step a map takes is recorded as (stage, inputs, outputs) in one
 immutable trace, so the whole derivation replays from the trace alone.
+A map returns that trace alone, already replayed: the mapped point is its
+final record.
 On a validated input each stage is forced to succeed; a failure is
 raised as StageFailure with the witnessing values, since on a genuine
 solution it would contradict the theorems this toolkit audits.
@@ -98,7 +100,7 @@ def _exact_roots(name: str, values: dict[str, int], **squares: int) -> dict[str,
     return roots
 
 
-def forward_reduce_biquadratic(x: int, y: int, z: int) -> tuple[ResolventSolution, ReductionTrace]:
+def forward_reduce_biquadratic(x: int, y: int, z: int) -> ReductionTrace:
     """Map a non-trivial primitive solution of E2 to a solution of R1.
 
     Pipeline: (x^2, 2y^2, z) is a primitive Pythagorean triple, so it has
@@ -123,9 +125,7 @@ def forward_reduce_biquadratic(x: int, y: int, z: int) -> tuple[ResolventSolutio
     return _forward_stages(x, y, z, signs)
 
 
-def _forward_stages(
-    x: int, y: int, z: int, signs: dict[str, int] | None = None
-) -> tuple[ResolventSolution, ReductionTrace]:
+def _forward_stages(x: int, y: int, z: int, signs: dict[str, int] | None = None) -> ReductionTrace:
     """The E2 -> R1 stage pipeline without the non-triviality gate.
 
     Exists as a seam: the public map's genuine non-trivial domain is empty,
@@ -168,12 +168,10 @@ def _forward_stages(
         result = resolvent_solution(R1, lam, gam, lam_p, gam_p)
     steps.append(TraceStep(STAGE_ASSEMBLE, dict(generators), result.named()))
     signs = signs or dict.fromkeys(QuarticSolution.coordinates, 1)
-    return result, ReductionTrace(KIND_BIQUADRATIC_REDUCE, (x, y, z), signs, tuple(steps), result)
+    return replay_trace(ReductionTrace(KIND_BIQUADRATIC_REDUCE, (x, y, z), signs, tuple(steps), result))
 
 
-def backward_lift_biquadratic(
-    x: int, y: int, xp: int, yp: int
-) -> tuple[QuarticSolution, ReductionTrace]:
+def backward_lift_biquadratic(x: int, y: int, xp: int, yp: int) -> ReductionTrace:
     """Map a solution of R1 to a solution of E2 (the converse direction).
 
     With T = x^2 - y^2 and S = 2xy the closed forms T^2 + S^2 = (x^2+y^2)^2
@@ -202,10 +200,10 @@ def backward_lift_biquadratic(
             equation_by_id("E2"), psi * phi, abs(big_t * big_s), big_t**4 + big_s**4
         )
     steps.append(TraceStep(STAGE_ASSEMBLE, assembled, result.named()))
-    return result, ReductionTrace(KIND_BIQUADRATIC_LIFT, source, signs, tuple(steps), result)
+    return replay_trace(ReductionTrace(KIND_BIQUADRATIC_LIFT, source, signs, tuple(steps), result))
 
 
-def sextic_to_resolvent(x: int, y: int, z: int) -> tuple[ResolventSolution, ReductionTrace]:
+def sextic_to_resolvent(x: int, y: int, z: int) -> ReductionTrace:
     """Map a primitive solution of E4 to a solution of R1.
 
     t = x^2 + y^2 and s = 2xy satisfy t^2 + s^2 = z^2 with gcd(t, s) = 1,
@@ -235,12 +233,10 @@ def sextic_to_resolvent(x: int, y: int, z: int) -> tuple[ResolventSolution, Redu
     with stage(STAGE_ASSEMBLE, parts):
         result = resolvent_solution(R1, u, v, x, y)
     steps.append(TraceStep(STAGE_ASSEMBLE, parts, result.named()))
-    return result, ReductionTrace(KIND_SYMMETRIC_REDUCE, source, signs, tuple(steps), result)
+    return replay_trace(ReductionTrace(KIND_SYMMETRIC_REDUCE, source, signs, tuple(steps), result))
 
 
-def resolvent_to_sextic(
-    x: int, y: int, xp: int, yp: int
-) -> tuple[QuarticSolution, ReductionTrace]:
+def resolvent_to_sextic(x: int, y: int, xp: int, yp: int) -> ReductionTrace:
     """Map a solution of R1 to a solution of E4 (the converse direction).
 
     The discriminant-style quantity xp^4 + 6 xp^2 yp^2 + yp^4 equals
@@ -259,7 +255,7 @@ def resolvent_to_sextic(
     with stage(STAGE_ASSEMBLE, completed):
         result = quartic_solution(equation_by_id("E4"), xp, yp, root["D"])
     steps.append(TraceStep(STAGE_ASSEMBLE, completed, result.named()))
-    return result, ReductionTrace(KIND_SYMMETRIC_LIFT, source, signs, tuple(steps), result)
+    return replay_trace(ReductionTrace(KIND_SYMMETRIC_LIFT, source, signs, tuple(steps), result))
 
 
 def maps(eq_id: str) -> tuple[Callable, Callable]:
@@ -275,14 +271,15 @@ def maps(eq_id: str) -> tuple[Callable, Callable]:
     raise KeyError(f"no reduction maps for equation id {eq_id!r}")
 
 
-def replay_trace(trace: ReductionTrace) -> None:
-    """Re-derive a trace from its recorded inputs.
+def replay_trace(trace: ReductionTrace) -> ReductionTrace:
+    """Re-derive a trace from its recorded inputs and return it.
 
     Raises InternalInvariantBroken unless the steps are their kind's stages
     in order, source is non-negative, sign_changes maps each coordinate of
     the kind's input record, in order, to 1 or -1, each step's outputs
     follow from its inputs under the stage's defining identity, and final
-    holds the last step's outputs.
+    holds the last step's outputs. Every map returns its trace through this
+    check, so a caller needs it only for a trace changed after it was built.
     """
     point, sequence = _REPLAY_SEQUENCES.get(trace.kind, (None, ()))
     stages = [step.stage for step in trace.steps]
@@ -303,6 +300,7 @@ def replay_trace(trace: ReductionTrace) -> None:
         raise InternalInvariantBroken(
             f"final {final.as_tuple()} of {trace.kind} is not its last step's outputs {last}"
         )
+    return trace
 
 
 def _generated(u: int, v: int, a: int, b: int, c: int) -> bool:

@@ -189,7 +189,7 @@ def test_criterion_6_trivial_orbit_pipeline(record):
     e4 = equation_by_id("E4")
     for sol in _trivial_solutions("E4"):
         try:
-            reduced, trace = sextic_to_resolvent(*sol.as_tuple())
+            trace = sextic_to_resolvent(*sol.as_tuple())
         except NotPrimitive:
             if math.gcd(sol.x, sol.y) == 1:
                 violations.append(("E4", sol.as_tuple(), "rejected primitive"))
@@ -198,18 +198,18 @@ def test_criterion_6_trivial_orbit_pipeline(record):
             violations.append(("E4", sol.as_tuple(), "accepted imprimitive"))
             continue
         replay_trace(trace)
-        lifted, lift_trace = resolvent_to_sextic(*reduced.as_tuple())
+        lift_trace = resolvent_to_sextic(*trace.final.as_tuple())
         replay_trace(lift_trace)
-        if not e4.is_solution(*lifted.as_tuple()):
+        if not e4.is_solution(*lift_trace.final.as_tuple()):
             violations.append(("E4", sol.as_tuple(), "lift broke the equation"))
 
     e2 = equation_by_id("E2")
     trivial_resolvent = search_resolvent(R1, 10, include_trivial=True).solutions
     for quad in trivial_resolvent:
-        lifted, _ = backward_lift_biquadratic(*quad)
+        lifted = backward_lift_biquadratic(*quad).final
         if not e2.is_solution(*lifted.as_tuple()):
             violations.append(("R1", quad, "biquadratic lift inexact"))
-        symmetric, _ = resolvent_to_sextic(*quad)
+        symmetric = resolvent_to_sextic(*quad).final
         if not e4.is_solution(*symmetric.as_tuple()):
             violations.append(("R1", quad, "symmetric lift inexact"))
 

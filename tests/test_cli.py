@@ -6,6 +6,7 @@ import argparse
 import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,169 @@ def test_lift_command_traces(capsys):
     code, out, _ = run_cli(capsys, ["lift", "--target", "E4", "--tuple", "1,0,0,1"])
     assert code == 0
     assert json.loads(out)["final"] == [0, 1, 1]
+
+
+# The documents' bytes in each format, as bench/reference.json records them.
+_REDUCE_ARGV = ["reduce", "--target", "E4", "--tuple=-1,0,1"]
+_LIFT_ARGV = ["lift", "--target", "E2", "--tuple=1,0,1,0"]
+_MAP_DOCUMENTS = {
+    ("reduce", "json"): (
+        '{"final":[1,0,1,0],"kind":"E4->R1","sign_changes":{"x":-1,"y":1,"z":1},"source":[1,0,1],'
+        '"steps":[{"inputs":{"s":0,"t":1,"x":1,"y":0,"z":1},"outputs":{"u":1,"v":0},"stage":'
+        '"TripleDecompose"},{"inputs":{"u":1,"v":0,"x":1,"y":0},"outputs":{"x":1,"xp":1,"y":0,"yp":'
+        '0},"stage":"Assemble"}]}\n'
+    ),
+    ("reduce", "csv"): (
+        'key,value\n'
+        'final,"[1, 0, 1, 0]"\n'
+        'kind,E4->R1\n'
+        'sign_changes,"{""x"": -1, ""y"": 1, ""z"": 1}"\n'
+        'source,"[1, 0, 1]"\n'
+        'steps,"[{""inputs"": {""s"": 0, ""t"": 1, ""x"": 1, ""y"": 0, ""z"": 1}, ""outputs"":'
+        ' {""u"": 1, ""v"": 0}, ""stage"": ""TripleDecompose""}, {""inputs"": {""u"": 1, ""v"": 0,'
+        ' ""x"": 1, ""y"": 0}, ""outputs"": {""x"": 1, ""xp"": 1, ""y"": 0, ""yp"": 0}, ""stage"":'
+        ' ""Assemble""}]"\n'
+    ),
+    ("reduce", "text"): textwrap.dedent("""\
+        {
+          "final": [
+            1,
+            0,
+            1,
+            0
+          ],
+          "kind": "E4->R1",
+          "sign_changes": {
+            "x": -1,
+            "y": 1,
+            "z": 1
+          },
+          "source": [
+            1,
+            0,
+            1
+          ],
+          "steps": [
+            {
+              "inputs": {
+                "s": 0,
+                "t": 1,
+                "x": 1,
+                "y": 0,
+                "z": 1
+              },
+              "outputs": {
+                "u": 1,
+                "v": 0
+              },
+              "stage": "TripleDecompose"
+            },
+            {
+              "inputs": {
+                "u": 1,
+                "v": 0,
+                "x": 1,
+                "y": 0
+              },
+              "outputs": {
+                "x": 1,
+                "xp": 1,
+                "y": 0,
+                "yp": 0
+              },
+              "stage": "Assemble"
+            }
+          ]
+        }
+    """),
+    ("lift", "json"): (
+        '{"final":[1,0,1],"kind":"R1->E2","sign_changes":{"x":1,"xp":1,"y":1,"yp":1},"source":[1,0,'
+        '1,0],"steps":[{"inputs":{"x":1,"xp":1,"y":0,"yp":0},"outputs":{"S":0,"T":1},"stage":'
+        '"DifferenceOfSquares"},{"inputs":{"S":0,"T":1},"outputs":{"phi":1,"psi":1},"stage":'
+        '"SquareExtract"},{"inputs":{"S":0,"T":1,"phi":1,"psi":1},"outputs":{"x":1,"y":0,"z":1},'
+        '"stage":"Assemble"}]}\n'
+    ),
+    ("lift", "csv"): (
+        'key,value\n'
+        'final,"[1, 0, 1]"\n'
+        'kind,R1->E2\n'
+        'sign_changes,"{""x"": 1, ""xp"": 1, ""y"": 1, ""yp"": 1}"\n'
+        'source,"[1, 0, 1, 0]"\n'
+        'steps,"[{""inputs"": {""x"": 1, ""xp"": 1, ""y"": 0, ""yp"": 0}, ""outputs"": {""S"": 0,'
+        ' ""T"": 1}, ""stage"": ""DifferenceOfSquares""}, {""inputs"": {""S"": 0, ""T"": 1},'
+        ' ""outputs"": {""phi"": 1, ""psi"": 1}, ""stage"": ""SquareExtract""}, {""inputs"":'
+        ' {""S"": 0, ""T"": 1, ""phi"": 1, ""psi"": 1}, ""outputs"": {""x"": 1, ""y"": 0, ""z"":'
+        ' 1}, ""stage"": ""Assemble""}]"\n'
+    ),
+    ("lift", "text"): textwrap.dedent("""\
+        {
+          "final": [
+            1,
+            0,
+            1
+          ],
+          "kind": "R1->E2",
+          "sign_changes": {
+            "x": 1,
+            "xp": 1,
+            "y": 1,
+            "yp": 1
+          },
+          "source": [
+            1,
+            0,
+            1,
+            0
+          ],
+          "steps": [
+            {
+              "inputs": {
+                "x": 1,
+                "xp": 1,
+                "y": 0,
+                "yp": 0
+              },
+              "outputs": {
+                "S": 0,
+                "T": 1
+              },
+              "stage": "DifferenceOfSquares"
+            },
+            {
+              "inputs": {
+                "S": 0,
+                "T": 1
+              },
+              "outputs": {
+                "phi": 1,
+                "psi": 1
+              },
+              "stage": "SquareExtract"
+            },
+            {
+              "inputs": {
+                "S": 0,
+                "T": 1,
+                "phi": 1,
+                "psi": 1
+              },
+              "outputs": {
+                "x": 1,
+                "y": 0,
+                "z": 1
+              },
+              "stage": "Assemble"
+            }
+          ]
+        }
+    """),
+}
+
+
+@pytest.mark.parametrize("command, fmt", list(_MAP_DOCUMENTS), ids="-".join)
+def test_map_documents_are_byte_stable(capsys, command, fmt):
+    argv = _REDUCE_ARGV if command == "reduce" else _LIFT_ARGV
+    assert run_cli(capsys, [*argv, "--format", fmt]) == (0, _MAP_DOCUMENTS[command, fmt], "")
 
 
 def test_descend_command_terminals(capsys):
@@ -226,6 +390,42 @@ def test_stage_failure_exits_two_with_error_document(capsys, monkeypatch, comman
     assert "SquareExtract" in err
 
 
+# A real SquareExtract failure of the R1 -> E4 lift, in each format.
+_STAGE_FAILURE_DOCUMENTS = {
+    "json": (
+        '{"error":"StageFailure","message":"stage SquareExtract failed (value=1, xp=1, yp=0)",'
+        '"stage":"SquareExtract","values":{"value":1,"xp":1,"yp":0}}\n'
+    ),
+    "csv": (
+        'key,value\n'
+        'error,StageFailure\n'
+        'message,"stage SquareExtract failed (value=1, xp=1, yp=0)"\n'
+        'stage,SquareExtract\n'
+        'values,"{""value"": 1, ""xp"": 1, ""yp"": 0}"\n'
+    ),
+    "text": textwrap.dedent("""\
+        {
+          "error": "StageFailure",
+          "message": "stage SquareExtract failed (value=1, xp=1, yp=0)",
+          "stage": "SquareExtract",
+          "values": {
+            "value": 1,
+            "xp": 1,
+            "yp": 0
+          }
+        }
+    """),
+}
+
+
+@pytest.mark.parametrize("fmt", _STAGE_FAILURE_DOCUMENTS)
+def test_stage_failure_document_is_byte_stable(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(cli.reduction, "isqrt_exact", lambda n: None)
+    code, out, err = run_cli(capsys, ["lift", "--target", "E4", "--tuple=1,0,1,0", "--format", fmt])
+    assert (code, out) == (2, _STAGE_FAILURE_DOCUMENTS[fmt])
+    assert err == "descent-forge: stage SquareExtract failed (value=1, xp=1, yp=0)\n"
+
+
 def test_counterexample_exits_two(capsys, monkeypatch):
     report = search_quartic(equation_by_id("E1"), 1, include_trivial=True)
     fake = VerifyOutcome(target_id="E1", report=report, verdict=VERDICT_COUNTEREXAMPLE)
@@ -235,12 +435,22 @@ def test_counterexample_exits_two(capsys, monkeypatch):
     assert json.loads(out)["verdict"] == "COUNTEREXAMPLE"
 
 
-def test_internal_invariant_exits_three(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--target", "E4", "--tuple", "1,0,1"],
+        ["lift", "--target", "E4", "--tuple", "1,0,0,1"],
+        # verify-table replays the maps on its trivial E4 points' cross-checks.
+        ["verify-table", "--bound", "5", "--resolvent-bound", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_internal_invariant_exits_three(capsys, monkeypatch, argv):
     def broken(trace):
         raise InternalInvariantBroken("forced for the test")
 
     monkeypatch.setattr(cli.reduction, "replay_trace", broken)
-    code, out, err = run_cli(capsys, ["reduce", "--target", "E4", "--tuple", "1,0,1"])
+    code, out, err = run_cli(capsys, argv)
     assert code == 3
     assert out == ""
     assert "invariant" in err

@@ -88,9 +88,9 @@ def test_forward_reduce_domain_is_empty_at_desk_scale():
 
 
 def test_forward_stage_pipeline_on_the_degenerate_triple():
-    result, trace = _forward_stages(1, 0, 1)
-    assert result.as_tuple() == (1, 0, 1, 0)
-    assert result.trivial
+    trace = _forward_stages(1, 0, 1)
+    assert trace.final.as_tuple() == (1, 0, 1, 0)
+    assert trace.final.trivial
     assert [step.stage for step in trace.steps] == [
         STAGE_TRIPLE_DECOMPOSE,
         STAGE_SQUARE_EXTRACT,
@@ -98,8 +98,7 @@ def test_forward_stage_pipeline_on_the_degenerate_triple():
         STAGE_TWIN_TRIPLE_DECOMPOSE,
         STAGE_ASSEMBLE,
     ]
-    assert trace.final is result
-    replay_trace(trace)
+    assert replay_trace(trace) is trace
 
 
 @pytest.mark.parametrize(
@@ -175,7 +174,7 @@ def _rebuilt(trace, **changes):
 
 
 def test_replay_rejects_tampered_outputs():
-    _, trace = _forward_stages(1, 0, 1)
+    trace = _forward_stages(1, 0, 1)
     good = trace.steps[0]
     tampered = (TraceStep(good.stage, good.inputs, {"u": 2, "v": 0}),) + trace.steps[1:]
     with pytest.raises(InternalInvariantBroken, match="does not replay"):
@@ -186,7 +185,7 @@ def test_replay_rejects_tampered_outputs():
 def test_replay_rejects_a_tampered_twin_triple_side(name, value):
     # The twin triples are (s, t, alpha) and (beta, t, s): each generator
     # pair must rebuild all three sides of its triple, not only s and t.
-    _, trace = _forward_stages(1, 0, 1)
+    trace = _forward_stages(1, 0, 1)
     index = [step.stage for step in trace.steps].index(STAGE_TWIN_TRIPLE_DECOMPOSE)
     twin = trace.steps[index]
     tampered = TraceStep(twin.stage, {**twin.inputs, name: value}, twin.outputs)
@@ -196,13 +195,13 @@ def test_replay_rejects_a_tampered_twin_triple_side(name, value):
 
 
 def test_replay_rejects_unknown_stages():
-    _, trace = _forward_stages(1, 0, 1)
+    trace = _forward_stages(1, 0, 1)
     with pytest.raises(InternalInvariantBroken, match="stages"):
         replay_trace(_rebuilt(trace, steps=trace.steps + (TraceStep("Bogus", {}, {}),)))
 
 
 def test_replay_rejects_unknown_kinds():
-    _, trace = _forward_stages(1, 0, 1)
+    trace = _forward_stages(1, 0, 1)
     with pytest.raises(InternalInvariantBroken, match="stages"):
         replay_trace(_rebuilt(trace, kind="E9->R1"))
 
@@ -218,7 +217,7 @@ _MAKE_TRACE = {
 
 @pytest.mark.parametrize("kind", _MAKE_TRACE)
 def test_replay_rejects_reversed_steps(kind):
-    _, trace = _MAKE_TRACE[kind]()
+    trace = _MAKE_TRACE[kind]()
     assert trace.kind == kind
     replay_trace(trace)
     with pytest.raises(InternalInvariantBroken, match="stages"):
@@ -227,14 +226,14 @@ def test_replay_rejects_reversed_steps(kind):
 
 @pytest.mark.parametrize("kind", _MAKE_TRACE)
 def test_replay_rejects_a_trace_without_steps(kind):
-    _, trace = _MAKE_TRACE[kind]()
+    trace = _MAKE_TRACE[kind]()
     with pytest.raises(InternalInvariantBroken, match="stages"):
         replay_trace(_rebuilt(trace, steps=()))
 
 
 @pytest.mark.parametrize("kind", _MAKE_TRACE)
 def test_replay_rejects_a_dropped_step(kind):
-    _, trace = _MAKE_TRACE[kind]()
+    trace = _MAKE_TRACE[kind]()
     # Dropping the first step leaves the last one, and so final, intact.
     with pytest.raises(InternalInvariantBroken, match="stages"):
         replay_trace(_rebuilt(trace, steps=trace.steps[1:]))
@@ -251,8 +250,8 @@ def test_replay_rejects_a_dropped_step(kind):
     ids=list(_MAKE_TRACE),
 )
 def test_replay_rejects_a_replaced_final(kind, other_final):
-    result, trace = _MAKE_TRACE[kind]()
-    assert other_final != result
+    trace = _MAKE_TRACE[kind]()
+    assert other_final != trace.final
     with pytest.raises(InternalInvariantBroken, match="final"):
         replay_trace(_rebuilt(trace, final=other_final))
 
@@ -270,7 +269,7 @@ _UNCANONICAL = {
 @pytest.mark.parametrize("tampering", _UNCANONICAL)
 @pytest.mark.parametrize("kind", _MAKE_TRACE)
 def test_replay_rejects_an_uncanonical_source_or_sign_changes(kind, tampering):
-    _, trace = _MAKE_TRACE[kind]()
+    trace = _MAKE_TRACE[kind]()
     with pytest.raises(InternalInvariantBroken, match="not canonical"):
         replay_trace(_rebuilt(trace, **_UNCANONICAL[tampering](trace)))
 
@@ -285,23 +284,22 @@ _SIGNED_MAPS = {
 
 @pytest.mark.parametrize("kind", _SIGNED_MAPS)
 def test_replay_accepts_a_signed_input_but_not_a_signed_source(monkeypatch, kind):
-    _, trace = _SIGNED_MAPS[kind]()
+    trace = _SIGNED_MAPS[kind]()
     assert trace.sign_changes["x"] == -1
     replay_trace(trace)
     # Every stage identity is even in the signs, so only the source check
-    # sees that a sign-keeping canonicalization's first step read a signed point.
+    # sees that a sign-keeping canonicalization's first step read a signed
+    # point, and the map's own replay refuses the trace it built.
     canonicalize = reduction._canonicalize
     monkeypatch.setattr(reduction, "_canonicalize", lambda point: (point.named(), canonicalize(point)[1]))
-    _, trace = _SIGNED_MAPS[kind]()
-    assert min(trace.source) == -1
-    with pytest.raises(InternalInvariantBroken, match="not canonical"):
-        replay_trace(trace)
+    with pytest.raises(InternalInvariantBroken, match=r"source \(-1, 0, .* not canonical"):
+        _SIGNED_MAPS[kind]()
 
 
 def test_replay_rejects_a_symmetric_triple_not_built_from_x_and_y():
     # (t, s, z) = (1, 0, 1) is generated by (1, 0) whatever x and y say, so
     # only the tie t = x^2 + y^2, s = 2xy sees a changed x.
-    _, trace = sextic_to_resolvent(1, 0, 1)
+    trace = sextic_to_resolvent(1, 0, 1)
     first = trace.steps[0]
     tampered = TraceStep(first.stage, {**first.inputs, "x": 2}, first.outputs)
     with pytest.raises(InternalInvariantBroken, match="TripleDecompose .* does not replay"):
@@ -310,9 +308,9 @@ def test_replay_rejects_a_symmetric_triple_not_built_from_x_and_y():
 
 @pytest.mark.parametrize("kind", _MAKE_TRACE)
 def test_every_map_returns_a_frozen_trace_whose_steps_own_their_dicts(kind):
-    result, trace = _MAKE_TRACE[kind]()
-    assert _MAKE_TRACE[kind]() == (result, trace)
-    assert type(trace.steps) is tuple and trace.final is result
+    trace = _MAKE_TRACE[kind]()
+    assert _MAKE_TRACE[kind]() == trace
+    assert type(trace.steps) is tuple and isinstance(trace.final, (QuarticSolution, ResolventSolution))
     for name in ReductionTrace.__match_args__:
         with pytest.raises(AttributeError):
             setattr(trace, name, getattr(trace, name))
@@ -323,7 +321,7 @@ def test_every_map_returns_a_frozen_trace_whose_steps_own_their_dicts(kind):
 @pytest.mark.parametrize("kind", _MAKE_TRACE)
 def test_a_trace_is_unhashable_and_replay_checks_its_dicts_as_they_stand(kind):
     # Its fields cannot be assigned, but its step dicts are not copied.
-    _, trace = _MAKE_TRACE[kind]()
+    trace = _MAKE_TRACE[kind]()
     with pytest.raises(TypeError, match="unhashable"):
         hash(trace)
     trace.steps[-1].outputs["x"] += 1
@@ -336,15 +334,15 @@ def test_a_trace_is_unhashable_and_replay_checks_its_dicts_as_they_stand(kind):
     [((1, 0, 1, 0), (1, 0, 1)), ((1, 0, 0, 1), (1, 0, 1))],
 )
 def test_backward_lift_values(quad, expected):
-    sol, trace = backward_lift_biquadratic(*quad)
-    assert sol.as_tuple() == expected
-    assert equation_by_id("E2").is_solution(*sol.as_tuple())
+    trace = backward_lift_biquadratic(*quad)
+    assert trace.final.as_tuple() == expected
+    assert equation_by_id("E2").is_solution(*trace.final.as_tuple())
     replay_trace(trace)
 
 
 def test_backward_lift_canonicalizes_signs():
-    sol, trace = backward_lift_biquadratic(-1, 0, -1, 0)
-    assert sol.as_tuple() == (1, 0, 1)
+    trace = backward_lift_biquadratic(-1, 0, -1, 0)
+    assert trace.final.as_tuple() == (1, 0, 1)
     assert trace.source == (1, 0, 1, 0)
     assert trace.sign_changes == {"x": -1, "y": 1, "xp": -1, "yp": 1}
 
@@ -356,13 +354,13 @@ def test_backward_lift_rejects_non_solutions(quad):
 
 
 def test_sextic_reduce_degenerate_cases():
-    result, trace = sextic_to_resolvent(1, 0, 1)
-    assert result.as_tuple() == (1, 0, 1, 0)
+    trace = sextic_to_resolvent(1, 0, 1)
+    assert trace.final.as_tuple() == (1, 0, 1, 0)
     assert trace.steps[0].outputs == {"u": 1, "v": 0}
     replay_trace(trace)
 
-    mirrored, trace = sextic_to_resolvent(0, 1, 1)
-    assert mirrored.as_tuple() == (1, 0, 0, 1)
+    trace = sextic_to_resolvent(0, 1, 1)
+    assert trace.final.as_tuple() == (1, 0, 0, 1)
     replay_trace(trace)
 
 
@@ -379,8 +377,8 @@ def test_sextic_reduce_rejects_non_solutions_and_imprimitive_inputs():
     [((1, 0, 1, 0), (1, 0, 1)), ((1, 0, 0, 1), (0, 1, 1))],
 )
 def test_resolvent_to_sextic_values(quad, expected):
-    sol, trace = resolvent_to_sextic(*quad)
-    assert sol.as_tuple() == expected
+    trace = resolvent_to_sextic(*quad)
+    assert trace.final.as_tuple() == expected
     assert trace.steps[0].inputs["value"] == 1
     replay_trace(trace)
 
@@ -399,16 +397,17 @@ def test_lift_soundness_over_all_searched_resolvent_solutions():
     report = search_resolvent(R1, 60, include_trivial=True)
     assert report.solutions, "searched domain unexpectedly empty"
     for quad in report.solutions:
-        lifted, trace = backward_lift_biquadratic(*quad)
-        assert e2.is_solution(*lifted.as_tuple())
+        trace = backward_lift_biquadratic(*quad)
+        assert e2.is_solution(*trace.final.as_tuple())
         replay_trace(trace)
 
-        symmetric, trace = resolvent_to_sextic(*quad)
+        trace = resolvent_to_sextic(*quad)
+        symmetric = trace.final
         assert e4.is_solution(*symmetric.as_tuple())
         replay_trace(trace)
 
-        back, trace = sextic_to_resolvent(*symmetric.as_tuple())
-        assert back.system_id == "R1"
+        trace = sextic_to_resolvent(*symmetric.as_tuple())
+        assert trace.final.system_id == "R1"
         replay_trace(trace)
 
 
@@ -423,7 +422,7 @@ def test_lift_soundness_over_all_searched_resolvent_solutions():
     ids=list(_MAKE_TRACE),
 )
 def test_forward_trace_records_kind_and_signs(kind, source_record, source, final):
-    _, trace = _MAKE_TRACE[kind]()
+    trace = _MAKE_TRACE[kind]()
     data = trace.to_dict()
     assert data["kind"] == kind
     assert data["source"] == source
