@@ -6,16 +6,17 @@ Usage, from anywhere in a checkout:
 
 Each row of MUTANTS names a file under src/, an exact snippet in it, its
 replacement, and the test ids that pin the rule the snippet states. For
-each row the script copies src/ and tests/ to a temporary directory,
-applies the replacement there and runs the named tests with pytest; the
+each row the script copies src/, tests/, bench/ and scripts/ (the
+architecture test reads the last two) to a temporary directory, applies
+the replacement there and runs the named tests with pytest; the
 mutant is killed when they fail. The named tests are first run once on an
 unmutated copy, where they must pass.
 
 Exits 1 if a mutant survives, if a snippet does not occur exactly once in
 its file (so the table cannot go stale silently), or if a run neither
 passes nor fails (a test id that no longer exists, a collection error);
-else 0. Needs pytest and hypothesis, as the tests do. The 31 rows take
-about 45 s on a 2-vCPU host.
+else 0. Needs pytest and hypothesis, as the tests do. The 37 rows take
+about 50 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -276,6 +277,52 @@ MUTANTS = (
         "lambda sub: None, _cmd_verify_table)",
         ("tests/test_cli.py::test_catalog_document",),
     ),
+    (
+        "an exported helper that no pipeline calls",
+        f"{PACKAGE}/__init__.py",
+        '__version__ = "0.1.0"\n\n__all__ = [\n',
+        '__version__ = "0.1.0"\n\n\n'
+        "def gcd(a, b):\n"
+        "    return abs(a) if b == 0 else gcd(b, a % b)\n\n\n"
+        "__all__ = [\n"
+        '    "gcd",\n',
+        ("tests/test_architecture.py::test_every_export_is_reached_by_a_pipeline",),
+    ),
+    (
+        "descent imports reduction, a module beside it",
+        f"{PACKAGE}/descent.py",
+        "from ._value import Frozen\n",
+        "from . import reduction\nfrom ._value import Frozen\n",
+        ("tests/test_architecture.py::test_module_imports_only_lower_layers[descent]",),
+    ),
+    (
+        "search imports cli",
+        f"{PACKAGE}/search.py",
+        "from . import reduction\n",
+        "from . import cli, reduction\n",
+        ("tests/test_architecture.py::test_module_imports_only_lower_layers[search]",),
+    ),
+    (
+        "search imports typing",
+        f"{PACKAGE}/search.py",
+        "import math\nimport os\n",
+        "import math\nimport os\nimport typing\n",
+        ("tests/test_architecture.py::test_no_banned_standard_import[search]",),
+    ),
+    (
+        "search replays a map's trace again",
+        f"{PACKAGE}/search.py",
+        "lift(*reduce(x, y, z).final.as_tuple())",
+        "lift(*reduction.replay_trace(reduce(x, y, z)).final.as_tuple())",
+        ("tests/test_architecture.py::test_one_home[replay_trace_called_only_in_reduction]",),
+    ),
+    (
+        "a command parser sets its handler a second time",
+        f"{PACKAGE}/cli.py",
+        "parser.set_defaults(command=name)",
+        "parser.set_defaults(command=name, handler=_COMMANDS[name][2])",
+        ("tests/test_architecture.py::test_one_home[handler_default_set_once_in_cli]",),
+    ),
 )
 
 
@@ -288,8 +335,8 @@ def _run_tests(tree: Path, test_ids) -> int:
 
 def _copy_tree(scratch: str) -> Path:
     tree = Path(tempfile.mkdtemp(dir=scratch))
-    for name in ("src", "tests"):
-        shutil.copytree(ROOT / name, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
+    for name in ("src", "tests", "bench", "scripts"):
+        shutil.copytree(ROOT / name, tree / name, ignore=shutil.ignore_patterns("__pycache__", "results"))
     return tree
 
 

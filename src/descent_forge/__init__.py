@@ -12,11 +12,8 @@ from __future__ import annotations
 from .core_arith import (
     PythTriple,
     coprime_split,
-    gcd,
-    is_prime,
     isqrt_exact,
     nu,
-    nu_p,
     pythagorean_compose,
     pythagorean_decompose,
 )
@@ -39,18 +36,15 @@ from .equations import (
     ResolventSolution,
     ResolventSystem,
     check_resolvent,
-    classify_trivial,
     equation_by_id,
     eval_quartic,
     list_catalog,
-    membership_of,
     quartic_solution,
     resolvent_by_id,
     resolvent_solution,
 )
 from .errors import (
     BoundExceeded,
-    DegenerateInput,
     DescentForgeError,
     InternalInvariantBroken,
     InvalidGenerators,
@@ -58,7 +52,6 @@ from .errors import (
     NotASolution,
     NotATriple,
     NotPrimitive,
-    NotPrime,
     ParityError,
     SplitPreconditionFailed,
     StageFailure,
@@ -89,7 +82,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundExceeded",
     "CatalogEntry",
-    "DegenerateInput",
     "DescentForgeError",
     "DescentStep",
     "DescentTerminal",
@@ -99,7 +91,6 @@ __all__ = [
     "NotAResolventSolution",
     "NotASolution",
     "NotATriple",
-    "NotPrime",
     "NotPrimitive",
     "ObstructionReport",
     "ParityError",
@@ -122,21 +113,16 @@ __all__ = [
     "all_consistent",
     "backward_lift_biquadratic",
     "check_resolvent",
-    "classify_trivial",
     "coprime_split",
     "descent_chain",
     "descent_step",
     "equation_by_id",
     "eval_quartic",
     "forward_reduce_biquadratic",
-    "gcd",
-    "is_prime",
     "isqrt_exact",
     "list_catalog",
-    "membership_of",
     "nu",
     "nu_lower_bound",
-    "nu_p",
     "pythagorean_compose",
     "pythagorean_decompose",
     "quartic_solution",

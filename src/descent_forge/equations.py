@@ -163,7 +163,6 @@ _CATALOG: tuple[CatalogEntry, ...] = (
 )
 
 _EQUATIONS = {entry.equation.id: entry.equation for entry in _CATALOG}
-_MEMBERSHIP = {entry.equation.id: entry.membership for entry in _CATALOG}
 _RESOLVENTS = {system.id: system for system in (R1, R2)}
 
 
@@ -181,12 +180,6 @@ def equation_by_id(eq_id: str) -> QuarticEquation:
     if eq_id not in _EQUATIONS:
         raise KeyError(f"unknown equation id {eq_id!r}")
     return _EQUATIONS[eq_id]
-
-
-def membership_of(eq_id: str) -> str:
-    if eq_id not in _MEMBERSHIP:
-        raise KeyError(f"unknown equation id {eq_id!r}")
-    return _MEMBERSHIP[eq_id]
 
 
 def resolvent_by_id(sys_id: str) -> ResolventSystem:
@@ -236,11 +229,6 @@ def quartic_solution(eq: QuarticEquation, x: int, y: int, z: int) -> QuarticSolu
         )
     primitive, trivial = _flags(x, y)
     return QuarticSolution(x, y, z, primitive, trivial)
-
-
-def classify_trivial(sol: QuarticSolution) -> bool:
-    """True when sol is trivial: x*y = 0 or |x| = |y|."""
-    return is_trivial(sol.x, sol.y)
 
 
 def check_resolvent(sys: ResolventSystem, x: int, y: int, xp: int, yp: int) -> bool:

@@ -21,16 +21,8 @@ class DescentForgeError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DegenerateInput(DescentForgeError):
-    """Both arguments of a gcd were zero."""
-
-
 class UndefinedValuation(DescentForgeError):
     """Valuation requested for 0."""
-
-
-class NotPrime(DescentForgeError):
-    """A prime-only argument failed its primality check."""
 
 
 class InvalidGenerators(DescentForgeError):

@@ -1,4 +1,5 @@
-"""Integer primitives: gcd conventions, valuations, triple algebra, gcd-splitting."""
+"""Integer primitives: factorization and factor counts, exact square roots,
+triple algebra, gcd-splitting."""
 
 from __future__ import annotations
 
@@ -9,112 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descent_forge.core_arith import (
-    MILLER_RABIN_LIMIT,
     PythTriple,
-    TRIAL_PRIMALITY_LIMIT,
-    _is_strong_probable_prime,
     coprime_split,
     factorize,
-    gcd,
-    is_prime,
     isqrt_exact,
     nu,
-    nu_p,
     pythagorean_compose,
     pythagorean_decompose,
 )
 from descent_forge.errors import (
-    BoundExceeded,
-    DegenerateInput,
     InvalidGenerators,
     NotATriple,
-    NotPrime,
     NotPrimitive,
     ParityError,
     SplitPreconditionFailed,
     UndefinedValuation,
 )
-
-
-@pytest.mark.parametrize(
-    "a,b,expected",
-    [(12, 18, 6), (1, 0, 1), (-6, 35, 1), (0, 7, 7), (-4, -6, 2)],
-)
-def test_gcd_values(a, b, expected):
-    assert gcd(a, b) == expected
-
-
-def test_gcd_rejects_two_zeros():
-    with pytest.raises(DegenerateInput):
-        gcd(0, 0)
-
-
-@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
-def test_gcd_commutes_and_divides(a, b):
-    if a == 0 and b == 0:
-        return
-    g = gcd(a, b)
-    assert g == gcd(b, a)
-    assert g > 0
-    assert a % g == 0 and b % g == 0
-
-
-@given(
-    st.integers(-10**4, 10**4),
-    st.integers(-10**4, 10**4),
-    st.integers(-10**4, 10**4),
-)
-def test_gcd_folds_associatively(a, b, c):
-    if (a, b, c) == (0, 0, 0):
-        return
-    left = math.gcd(math.gcd(a, b), c)
-    right = math.gcd(a, math.gcd(b, c))
-    assert left == right
-
-
-@pytest.mark.parametrize("p,a,expected", [(2, 12, 2), (3, 1, 0), (7, -343, 3), (5, 7, 0)])
-def test_nu_p_values(p, a, expected):
-    assert nu_p(p, a) == expected
-
-
-def test_nu_p_rejects_zero_argument():
-    with pytest.raises(UndefinedValuation):
-        nu_p(5, 0)
-
-
-@pytest.mark.parametrize("p", [0, 1, 4, 9, 100])
-def test_nu_p_rejects_composite_or_small(p):
-    with pytest.raises(NotPrime):
-        nu_p(p, 10)
-
-
-def test_nu_p_checks_primality_above_trial_limit():
-    # 10^6 + 1 = 101 * 9901 is the first composite past trial division.
-    assert not is_prime(TRIAL_PRIMALITY_LIMIT + 1)
-    with pytest.raises(NotPrime):
-        nu_p(TRIAL_PRIMALITY_LIMIT + 1, 10)
-    assert nu_p(1_000_003, 1_000_003**2) == 2
-    assert nu_p(1_000_003, 7) == 0
-    # The least strong pseudoprime to the bases 2..23; bases 29..41 expose it.
-    with pytest.raises(NotPrime):
-        nu_p(3825123056546413051, 3825123056546413051)
-    # 2^61 - 1 is prime and far past trial division.
-    assert nu_p(2**61 - 1, 2 * (2**61 - 1)) == 1
-
-
-def test_nu_p_refuses_primes_past_the_miller_rabin_range():
-    # 2^89 - 1 is a Mersenne prime above the limit, where the fixed bases
-    # no longer decide primality.
-    assert 2**89 - 1 > MILLER_RABIN_LIMIT
-    with pytest.raises(BoundExceeded):
-        nu_p(2**89 - 1, 5)
-    with pytest.raises(BoundExceeded):
-        nu_p(MILLER_RABIN_LIMIT, 5)
-
-
-def test_miller_rabin_agrees_with_trial_division():
-    for n in range(43, 20000, 2):
-        assert _is_strong_probable_prime(n) == is_prime(n)
 
 
 @pytest.mark.parametrize("a,expected", [(12, 3), (1, 0), (-1, 0), (-6, 2), (2**10, 10), (97, 1)])
@@ -148,14 +59,8 @@ def test_nu_matches_factorization_oracle_up_to_1e5():
         assert nu(a) == factor_count(a)
         assert nu(-a) == factor_count(a)
 
-    # Spot-check the summation form directly on a few values: nu equals the
-    # sum of per-prime valuations over all primes up to the argument.
-    primes = [p for p in range(2, 101) if spf[p] == p]
-    for a in (2, 30, 64, 97, 100):
-        assert nu(a) == sum(nu_p(p, a) for p in primes if p <= a)
 
-
-def test_factorize_nu_and_is_prime_match_brute_force_up_to_2000():
+def test_factorize_and_nu_match_brute_force_up_to_2000():
     def divides_none(p: int, candidates: range) -> bool:
         return all(p % d for d in candidates)
 
@@ -176,7 +81,6 @@ def test_factorize_nu_and_is_prime_match_brute_force_up_to_2000():
             else:
                 d += 1
         assert nu(n) == count
-        assert is_prime(n) == (n >= 2 and divides_none(n, range(2, n)))
 
 
 def test_factorize_rejects_zero():

@@ -22,12 +22,10 @@ from descent_forge.equations import (
     ResolventSolution,
     ResolventSystem,
     check_resolvent,
-    classify_trivial,
     equation_by_id,
     eval_quartic,
     list_catalog,
     list_resolvents,
-    membership_of,
     quartic_solution,
     resolvent_by_id,
     resolvent_solution,
@@ -58,7 +56,6 @@ def test_catalog_rows_and_memberships():
         coeffs, membership = EXPECTED_CATALOG[eq.id]
         assert (eq.a, eq.b, eq.c, eq.d, eq.e) == coeffs
         assert entry.membership == membership
-        assert membership_of(eq.id) == membership
 
 
 def test_fourth_power_right_side_is_unique_to_the_fermat_entry():
@@ -85,8 +82,6 @@ def test_unknown_ids_are_rejected(bad_id):
         equation_by_id(bad_id)
     with pytest.raises(KeyError):
         resolvent_by_id(bad_id)
-    with pytest.raises(KeyError):
-        membership_of(bad_id)
 
 
 def test_malformed_equation_is_rejected_at_construction():
@@ -174,30 +169,30 @@ def test_quartic_solution_factory_checks_membership():
     "eq_id,point,expected",
     [("E1", (1, 1, 0), True), ("E2", (1, 0, 1), True), ("E3", (2, 1, None), None)],
 )
-def test_classify_trivial_examples(eq_id, point, expected):
+def test_trivial_flag_examples(eq_id, point, expected):
     eq = equation_by_id(eq_id)
     x, y, z = point
     if expected is None:
-        # 16 + 4 = 20 is not a perfect square, so no solution exists to classify.
-        assert eval_quartic(equation_by_id("E2"), 2, 1) == []
+        # 16 + 1 = 17 is not twice a square, so no solution exists to classify.
+        assert eval_quartic(eq, x, y) == []
         return
-    assert classify_trivial(quartic_solution(eq, x, y, z)) is expected
+    assert quartic_solution(eq, x, y, z).trivial is expected
 
 
-def test_classify_trivial_is_sign_and_swap_invariant():
+def test_trivial_flag_is_sign_and_swap_invariant():
     # Even powers make every sign flip of a solution a solution again, so the
     # flipped tuples can go straight through the validating factory.
     for entry in list_catalog():
         eq = entry.equation
         for x, y in product(range(9), repeat=2):
             for sol in eval_quartic(eq, x, y):
-                base = classify_trivial(sol)
+                base = sol.trivial
                 for sx, sy, sz in product((1, -1), repeat=3):
                     flipped = quartic_solution(eq, sx * sol.x, sy * sol.y, sz * sol.z)
-                    assert classify_trivial(flipped) is base
+                    assert flipped.trivial is base
                 if eq.a == eq.c:
                     swapped = quartic_solution(eq, sol.y, sol.x, sol.z)
-                    assert classify_trivial(swapped) is base
+                    assert swapped.trivial is base
 
 
 @pytest.mark.parametrize(
@@ -256,7 +251,7 @@ def test_membership_column_agrees_with_the_split_quartics():
     for system, eq_id in ((R1, "E1"), (R2, "E8")):
         rows = _equivalent_rows(system.split_quartic())
         assert [entry.equation.id for entry in rows] == [eq_id]
-        assert rows[0].membership == membership_of(eq_id) == system.id
+        assert rows[0].membership == system.id
 
 
 _coefficients = st.integers(-6, 6).filter(bool)
