@@ -15,8 +15,8 @@ unmutated copy, where they must pass.
 Exits 1 if a mutant survives, if a snippet does not occur exactly once in
 its file (so the table cannot go stale silently), or if a run neither
 passes nor fails (a test id that no longer exists, a collection error);
-else 0. Needs pytest and hypothesis, as the tests do. The 37 rows take
-about 50 s on a 2-vCPU host.
+else 0. Needs pytest and hypothesis, as the tests do. The 46 rows take
+51-57 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -58,11 +58,74 @@ MUTANTS = (
         ("tests/test_reduction.py::test_replay_rejects_a_tampered_twin_triple_side",),
     ),
     (
-        "descent step takes nu of a trivial output",
-        f"{PACKAGE}/descent.py",
-        "nu_out=None if output.trivial else nu(s0 * t0),",
-        "nu_out=nu(s0 * t0),",
-        ("tests/test_descent.py::test_real_descent_step_reaches_a_trivial_output",),
+        "descent replay does not tie s to 2*s0*t0, so the step need not descend",
+        f"{PACKAGE}/reduction.py",
+        '_generated(o["s0"], o["t0"], p, s, q)',
+        '_generated(o["s0"], o["t0"], p, 2 * o["s0"] * o["t0"], q)',
+        ("tests/test_reduction.py::test_replay_rejects_inner_triples_off_the_shared_leg",),
+    ),
+    (
+        "descent replay does not check that the split rebuilds the source",
+        f"{PACKAGE}/reduction.py",
+        "        (p * q, r * s, p * r, q * s) == _point(i)\n        and all(",
+        "        all(",
+        ("tests/test_reduction.py::test_replay_rejects_a_tampered_descent_step[split does not rebuild the source]",),
+    ),
+    (
+        "descent replay accepts split parts that share a factor",
+        f"{PACKAGE}/reduction.py",
+        "        and all(math.gcd(a, b) == 1 for a, b in combinations((p, q, r, s), 2))\n",
+        "",
+        ("tests/test_reduction.py::test_replay_rejects_a_tampered_descent_step[split parts share a factor]",),
+    ),
+    (
+        "descent replay does not check p^2 D = s^2 N",
+        f"{PACKAGE}/reduction.py",
+        "        and p * p * d_value == s * s * n_value\n",
+        "",
+        ("tests/test_reduction.py::test_replay_rejects_a_tampered_descent_step[split fails p^2 D = s^2 N]",),
+    ),
+    (
+        "descent replay does not check q^2 = p^2 + s^2",
+        f"{PACKAGE}/reduction.py",
+        'o["sum"] == p * p + s * s == q * q and ',
+        "",
+        ("tests/test_reduction.py::test_replay_rejects_a_tampered_descent_step[q^2 is not p^2 + s^2]",),
+    ),
+    (
+        "descent replay does not check r^2 = p^2 - s^2",
+        f"{PACKAGE}/reduction.py",
+        ' and o["difference"] == p * p - s * s == r * r',
+        "",
+        ("tests/test_reduction.py::test_replay_rejects_a_tampered_descent_step[r^2 is not p^2 - s^2]",),
+    ),
+    (
+        "descent replay does not tie (s0, t0) to q",
+        f"{PACKAGE}/reduction.py",
+        'p, s, q) and _generated(',
+        'p, s, o["s0"] ** 2 + o["t0"] ** 2) and _generated(',
+        ("tests/test_reduction.py::test_replay_rejects_a_tampered_descent_step[(s0, t0) does not generate (p, s, q)]",),
+    ),
+    (
+        "descent replay ignores the triple (r, s, p)",
+        f"{PACKAGE}/reduction.py",
+        ' and _generated(o["s0p"], o["t0p"], r, s, p)',
+        "",
+        ("tests/test_reduction.py::test_replay_rejects_a_tampered_descent_step[(s0p, t0p) does not generate (r, s, p)]",),
+    ),
+    (
+        "an Assemble into R1 does not compare the output with its inputs",
+        f"{PACKAGE}/reduction.py",
+        "return quad == tuple(i[name] for name in names) and check_resolvent(R1, *quad)",
+        "return check_resolvent(R1, *quad)",
+        ("tests/test_reduction.py::test_replay_rejects_a_tampered_descent_step[output is not the generators]",),
+    ),
+    (
+        "an Assemble into R1 does not check R1",
+        f"{PACKAGE}/reduction.py",
+        "return quad == tuple(i[name] for name in names) and check_resolvent(R1, *quad)",
+        "return quad == tuple(i[name] for name in names)",
+        ("tests/test_reduction.py::test_replay_rejects_a_tampered_descent_step[output is off R1]",),
     ),
     (
         "replay does not compare final with the last step",
@@ -91,8 +154,8 @@ MUTANTS = (
     (
         "descent step runs its stages on signed values",
         f"{PACKAGE}/descent.py",
-        "    x, y, xp, yp = abs(x), abs(y), abs(xp), abs(yp)\n",
-        "",
+        "    source = x, y, xp, yp = tuple(canonical.values())\n",
+        "    source = tuple(canonical.values())\n",
         ("tests/test_descent.py::test_descent_step_runs_its_stages_in_order_on_absolute_values",),
     ),
     (
@@ -239,8 +302,8 @@ MUTANTS = (
     (
         "a map returns its trace without replaying it",
         f"{PACKAGE}/reduction.py",
-        "return replay_trace(ReductionTrace(KIND_SYMMETRIC_REDUCE, source, signs, tuple(steps), result))",
-        "return ReductionTrace(KIND_SYMMETRIC_REDUCE, source, signs, tuple(steps), result)",
+        "return replay_trace(ReductionTrace(kind, source, signs, tuple(steps), final))",
+        "return ReductionTrace(kind, source, signs, tuple(steps), final)",
         (
             "tests/test_reduction.py::test_replay_accepts_a_signed_input_but_not_a_signed_source",
             "tests/test_cli.py::test_internal_invariant_exits_three",
@@ -289,10 +352,10 @@ MUTANTS = (
         ("tests/test_architecture.py::test_every_export_is_reached_by_a_pipeline",),
     ),
     (
-        "descent imports reduction, a module beside it",
+        "descent imports search, a module beside it",
         f"{PACKAGE}/descent.py",
-        "from ._value import Frozen\n",
-        "from . import reduction\nfrom ._value import Frozen\n",
+        "from . import reduction\n",
+        "from . import reduction, search\n",
         ("tests/test_architecture.py::test_module_imports_only_lower_layers[descent]",),
     ),
     (

@@ -18,7 +18,6 @@ from .core_arith import (
     pythagorean_decompose,
 )
 from .descent import (
-    DescentStep,
     DescentTerminal,
     DescentTrace,
     ObstructionReport,
@@ -83,7 +82,6 @@ __all__ = [
     "BoundExceeded",
     "CatalogEntry",
     "DescentForgeError",
-    "DescentStep",
     "DescentTerminal",
     "DescentTrace",
     "InternalInvariantBroken",

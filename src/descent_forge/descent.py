@@ -6,11 +6,12 @@ with the four-gcd split, forces the sum and difference forms
     q^2 = p^2 + s^2,    r^2 = p^2 - s^2,
 
 decomposes both as primitive triples sharing the even leg s, and emits a
-new solution whose product valuation is strictly smaller. Since no
+new solution whose product valuation is strictly smaller, recorded as an
+R1 -> R1 reduction trace that reduction's replay checks. Since no
 non-trivial solution exists, the public entry points reject every real
 input before the pipeline starts; each deduction stage is therefore also
 exposed on its own so the machinery stays testable on synthetic values.
-descent_chain returns the chain as one immutable DescentTrace.
+descent_chain returns the chain of step traces as one DescentTrace.
 
 residue_obstruction reconstructs the congruence half of the argument: it
 counts the residue classes compatible with the two defining equations and
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 
+from . import reduction
 from ._value import Frozen
 from .core_arith import coprime_split, factorize, nu, pythagorean_decompose
 from .equations import (
@@ -42,13 +44,12 @@ from .errors import (
     UnsupportedResolvent,
     stage,
 )
+from .reduction import (
+    KIND_DESCENT, STAGE_ASSEMBLE, STAGE_INNER_TRIPLES, STAGE_REARRANGE, STAGE_SUM_DIFFERENCE,
+    ReductionTrace, TraceStep,
+)
 
 MODULUS_LIMIT = 10**4
-
-STAGE_REARRANGE = "Rearrange"
-STAGE_SUM_DIFFERENCE = "SumDifferenceForms"
-STAGE_INNER_TRIPLES = "InnerTriples"
-STAGE_ASSEMBLE = "Assemble"
 
 TERMINAL_TRIVIAL_INPUT = "TrivialInput"
 TERMINAL_NON_SOLUTION = "NonSolutionInput"
@@ -197,42 +198,6 @@ def nu_lower_bound(system: ResolventSystem) -> int:
     return nu_analysis(system)[0]
 
 
-class DescentStep(Frozen):
-    """One completed descent step with its full bookkeeping."""
-
-    __slots__ = __match_args__ = (
-        "input", "split", "inner_solutions", "output", "nu_in", "nu_out",
-    )
-
-    def validate(self) -> None:
-        """Check the two step invariants: strict descent and output validity.
-
-        nu(0) is undefined, so only a trivial output may record nu_out = None,
-        and it skips the descent check.
-        """
-        if self.nu_out is None:
-            if not self.output.trivial:
-                raise InternalInvariantBroken(f"nontrivial output {self.output} has no nu_out")
-        elif self.nu_out >= self.nu_in:
-            raise InternalInvariantBroken(
-                f"descent did not shrink: nu_out={self.nu_out} >= nu_in={self.nu_in}"
-            )
-        if not check_resolvent(R1, *self.output.as_tuple()):
-            raise InternalInvariantBroken(
-                f"descent output {self.output.as_tuple()} does not satisfy R1"
-            )
-
-    def to_dict(self) -> dict:
-        return {
-            "stage": "DescentStep",
-            "inputs": self.input.named(),
-            "split": dict(zip(("p", "q", "r", "s"), self.split)),
-            "outputs": self.output.named(),
-            "nu_in": self.nu_in,
-            "nu_out": self.nu_out,
-        }
-
-
 class DescentTerminal(Frozen):
     __slots__ = __match_args__ = ("kind", "stage", "values")
     _defaults = {"stage": None, "values": None}
@@ -321,8 +286,9 @@ def inner_triples_stage(
 
 def descent_step(
     x: int, y: int, xp: int, yp: int, system: ResolventSystem = R1
-) -> DescentStep:
-    """One full descent step on a non-trivial solution of R1.
+) -> ReductionTrace:
+    """One full descent step on a non-trivial solution of R1, as a replayed
+    R1 -> R1 trace: Rearrange, SumDifferenceForms, InnerTriples, Assemble.
 
     The genuine domain is empty, so every real call raises TrivialInput or
     NotASolution during validation; the pipeline below is the audited
@@ -335,25 +301,25 @@ def descent_step(
         raise NotASolution(f"({x}, {y}, {xp}, {yp}) does not satisfy R1")
     if x * y == 0:
         raise TrivialInput(f"({x}, {y}, {xp}, {yp}) is trivial")
-    x, y, xp, yp = abs(x), abs(y), abs(xp), abs(yp)
-    source = resolvent_solution(system, x, y, xp, yp)
+    canonical, signs = reduction._canonicalize(resolvent_solution(system, x, y, xp, yp))
+    source = x, y, xp, yp = tuple(canonical.values())
 
     p, q, r, s = split_stage(x, y, xp, yp)
-    sum_difference_stage(p, q, r, s)
+    split = {"p": p, "q": q, "r": r, "s": s}
+    steps = [TraceStep(STAGE_REARRANGE, canonical, split)]
+    total, diff = sum_difference_stage(p, q, r, s)
+    steps.append(TraceStep(STAGE_SUM_DIFFERENCE, dict(split), {"sum": total, "difference": diff}))
     (s0, t0), (s0p, t0p) = inner_triples_stage(p, q, r, s)
+    generators = {"s0": s0, "t0": t0, "s0p": s0p, "t0p": t0p}
+    steps.append(TraceStep(STAGE_INNER_TRIPLES, dict(split), generators))
 
-    with stage(STAGE_ASSEMBLE, {"s0": s0, "t0": t0, "s0p": s0p, "t0p": t0p}):
+    with stage(STAGE_ASSEMBLE, generators):
         output = resolvent_solution(R1, s0, t0, s0p, t0p)
-    step = DescentStep(
-        input=source,
-        split=(p, q, r, s),
-        inner_solutions=((s0, t0), (s0p, t0p)),
-        output=output,
-        nu_in=nu(x * y),
-        nu_out=None if output.trivial else nu(s0 * t0),
-    )
-    step.validate()
-    return step
+    steps.append(TraceStep(STAGE_ASSEMBLE, dict(generators), output.named()))
+    # Strict descent needs no check of its own: the replayed InnerTriples
+    # step gives s = 2*s0*t0 and Rearrange gives y = r*s, so with x*y != 0
+    # nu(s0*t0) = nu(s) - 1 < nu(x*y).
+    return reduction.replayed(KIND_DESCENT, source, signs, steps, output)
 
 
 def descent_chain(
@@ -363,13 +329,13 @@ def descent_chain(
 
     Terminals: TrivialInput (the input itself was trivial),
     NonSolutionInput, TrivialReached (a step emitted a trivial solution)
-    and StageFailure. descent_step validates every input, and each step
-    checks that its output satisfies R1, so only the chain's own input can
-    be rejected. The chain is capped at nu(x*y) + 1 steps; exceeding the
-    cap would contradict strict descent and raises InternalInvariantBroken.
+    and StageFailure. descent_step validates every input and replays each
+    step's R1 -> R1 trace, whose final point satisfies R1, so only the
+    chain's own input can be rejected. Replay implies strict descent; the
+    nu(x*y) + 1 step cap is a backstop that raises InternalInvariantBroken.
     """
     source = current = (x, y, xp, yp)
-    steps: list[DescentStep] = []
+    steps: list[ReductionTrace] = []
     while True:
         try:
             step = descent_step(*current, system=system)
@@ -386,15 +352,15 @@ def descent_chain(
         if not steps:
             cap = nu(x * y) + 1
         steps.append(step)
-        if step.output.trivial:
+        if step.final.trivial:
             terminal = DescentTerminal(
                 TERMINAL_TRIVIAL_REACHED,
-                values={"output": list(step.output.as_tuple())},
+                values={"output": list(step.final.as_tuple())},
             )
             break
         if len(steps) >= cap:
             raise InternalInvariantBroken(
                 f"descent exceeded {cap} steps from {source}"
             )
-        current = step.output.as_tuple()
+        current = step.final.as_tuple()
     return DescentTrace(source, tuple(steps), terminal)

@@ -12,7 +12,8 @@ maps(eq_id) returns either pair as (reduce, lift).
 Every step a map takes is recorded as (stage, inputs, outputs) in one
 immutable trace, so the whole derivation replays from the trace alone.
 A map returns that trace alone, already replayed: the mapped point is its
-final record.
+final record. A descent step (descent.descent_step) is one more kind,
+R1 -> R1; replayed() builds and replays the traces of every kind.
 On a validated input each stage is forced to succeed; a failure is
 raised as StageFailure with the witnessing values, since on a genuine
 solution it would contradict the theorems this toolkit audits.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from itertools import combinations
 
 from ._value import Frozen
 from .core_arith import isqrt_exact, pythagorean_decompose
@@ -47,11 +49,16 @@ STAGE_SQUARE_EXTRACT = "SquareExtract"
 STAGE_DIFFERENCE_OF_SQUARES = "DifferenceOfSquares"
 STAGE_TWIN_TRIPLE_DECOMPOSE = "TwinTripleDecompose"
 STAGE_ASSEMBLE = "Assemble"
+# The descent step's own stages.
+STAGE_REARRANGE = "Rearrange"
+STAGE_SUM_DIFFERENCE = "SumDifferenceForms"
+STAGE_INNER_TRIPLES = "InnerTriples"
 
 KIND_BIQUADRATIC_REDUCE = "E2->R1"
 KIND_BIQUADRATIC_LIFT = "R1->E2"
 KIND_SYMMETRIC_REDUCE = "E4->R1"
 KIND_SYMMETRIC_LIFT = "R1->E4"
+KIND_DESCENT = "R1->R1"
 
 # The catalogue equations that maps() pairs with R1.
 MAPPED_IDS = ("E2", "E4")
@@ -65,7 +72,7 @@ class TraceStep(Frozen):
 
 
 class ReductionTrace(Frozen):
-    """Ordered record of the stages one map application went through.
+    """Ordered record of the stages one map application or descent step went through.
 
     sign_changes holds the multiplier (+1 or -1) applied to each input
     coordinate during canonicalization, so the original input is always
@@ -89,6 +96,12 @@ def _canonicalize(point: QuarticSolution | ResolventSolution) -> tuple[dict, dic
     named = point.named()
     signs = {name: (-1 if value < 0 else 1) for name, value in named.items()}
     return {name: abs(value) for name, value in named.items()}, signs
+
+
+def replayed(kind: str, source: tuple[int, ...], signs: dict, steps: list, final) -> ReductionTrace:
+    """The trace of one map application or descent step, as replay_trace
+    has checked it; every trace is built here."""
+    return replay_trace(ReductionTrace(kind, source, signs, tuple(steps), final))
 
 
 def _exact_roots(name: str, values: dict[str, int], **squares: int) -> dict[str, int]:
@@ -168,7 +181,7 @@ def _forward_stages(x: int, y: int, z: int, signs: dict[str, int] | None = None)
         result = resolvent_solution(R1, lam, gam, lam_p, gam_p)
     steps.append(TraceStep(STAGE_ASSEMBLE, dict(generators), result.named()))
     signs = signs or dict.fromkeys(QuarticSolution.coordinates, 1)
-    return replay_trace(ReductionTrace(KIND_BIQUADRATIC_REDUCE, (x, y, z), signs, tuple(steps), result))
+    return replayed(KIND_BIQUADRATIC_REDUCE, (x, y, z), signs, steps, result)
 
 
 def backward_lift_biquadratic(x: int, y: int, xp: int, yp: int) -> ReductionTrace:
@@ -200,7 +213,7 @@ def backward_lift_biquadratic(x: int, y: int, xp: int, yp: int) -> ReductionTrac
             equation_by_id("E2"), psi * phi, abs(big_t * big_s), big_t**4 + big_s**4
         )
     steps.append(TraceStep(STAGE_ASSEMBLE, assembled, result.named()))
-    return replay_trace(ReductionTrace(KIND_BIQUADRATIC_LIFT, source, signs, tuple(steps), result))
+    return replayed(KIND_BIQUADRATIC_LIFT, source, signs, steps, result)
 
 
 def sextic_to_resolvent(x: int, y: int, z: int) -> ReductionTrace:
@@ -233,7 +246,7 @@ def sextic_to_resolvent(x: int, y: int, z: int) -> ReductionTrace:
     with stage(STAGE_ASSEMBLE, parts):
         result = resolvent_solution(R1, u, v, x, y)
     steps.append(TraceStep(STAGE_ASSEMBLE, parts, result.named()))
-    return replay_trace(ReductionTrace(KIND_SYMMETRIC_REDUCE, source, signs, tuple(steps), result))
+    return replayed(KIND_SYMMETRIC_REDUCE, source, signs, steps, result)
 
 
 def resolvent_to_sextic(x: int, y: int, xp: int, yp: int) -> ReductionTrace:
@@ -255,7 +268,7 @@ def resolvent_to_sextic(x: int, y: int, xp: int, yp: int) -> ReductionTrace:
     with stage(STAGE_ASSEMBLE, completed):
         result = quartic_solution(equation_by_id("E4"), xp, yp, root["D"])
     steps.append(TraceStep(STAGE_ASSEMBLE, completed, result.named()))
-    return replay_trace(ReductionTrace(KIND_SYMMETRIC_LIFT, source, signs, tuple(steps), result))
+    return replayed(KIND_SYMMETRIC_LIFT, source, signs, steps, result)
 
 
 def maps(eq_id: str) -> tuple[Callable, Callable]:
@@ -278,8 +291,9 @@ def replay_trace(trace: ReductionTrace) -> ReductionTrace:
     in order, source is non-negative, sign_changes maps each coordinate of
     the kind's input record, in order, to 1 or -1, each step's outputs
     follow from its inputs under the stage's defining identity, and final
-    holds the last step's outputs. Every map returns its trace through this
-    check, so a caller needs it only for a trace changed after it was built.
+    holds the last step's outputs. Every map and descent step returns its
+    trace through this check, so a caller needs it only for a trace changed
+    after it was built.
     """
     point, sequence = _REPLAY_SEQUENCES.get(trace.kind, (None, ()))
     stages = [step.stage for step in trace.steps]
@@ -306,6 +320,21 @@ def replay_trace(trace: ReductionTrace) -> ReductionTrace:
 def _generated(u: int, v: int, a: int, b: int, c: int) -> bool:
     """Whether (u, v) generates the triple: a = u^2 - v^2, b = 2uv, c = u^2 + v^2."""
     return a == u * u - v * v and b == 2 * u * v and c == u * u + v * v
+
+
+def _point(values: dict) -> tuple[int, ...]:
+    """A resolvent point read from a step's dict by its coordinate names."""
+    return tuple(values[name] for name in ResolventSolution.coordinates)
+
+
+def _assembles_r1(*names: str) -> Callable[[dict, dict], bool]:
+    """The check of an Assemble step into R1: the output point is the
+    named inputs, in order, and satisfies R1."""
+    def check(i: dict, o: dict) -> bool:
+        quad = _point(o)
+        return quad == tuple(i[name] for name in names) and check_resolvent(R1, *quad)
+
+    return check
 
 
 def _check_forward_triple(i: dict, o: dict) -> bool:
@@ -338,13 +367,8 @@ def _check_twin_decompose(i: dict, o: dict) -> bool:
     )
 
 
-def _check_forward_assemble(i: dict, o: dict) -> bool:
-    quad = (o["x"], o["y"], o["xp"], o["yp"])
-    return quad == (i["lam"], i["gam"], i["lam_p"], i["gam_p"]) and check_resolvent(R1, *quad)
-
-
 def _check_lift_ts(i: dict, o: dict) -> bool:
-    x, y, xp, yp = i["x"], i["y"], i["xp"], i["yp"]
+    x, y, xp, yp = _point(i)
     return (
         o["T"] == x * x - y * y
         and o["S"] == 2 * x * y
@@ -371,11 +395,6 @@ def _check_lift_assemble(i: dict, o: dict) -> bool:
     )
 
 
-def _check_symmetric_assemble(i: dict, o: dict) -> bool:
-    quad = (o["x"], o["y"], o["xp"], o["yp"])
-    return quad == (i["u"], i["v"], i["x"], i["y"]) and check_resolvent(R1, *quad)
-
-
 def _check_symmetric_root(i: dict, o: dict) -> bool:
     value = equation_by_id("E4").lhs(i["xp"], i["yp"])
     return i["value"] == value and o["D"] ** 2 == value
@@ -386,6 +405,26 @@ def _check_symmetric_final(i: dict, o: dict) -> bool:
     return (x, y, z) == (i["xp"], i["yp"], i["D"]) and equation_by_id("E4").is_solution(x, y, z)
 
 
+def _check_rearrange(i: dict, o: dict) -> bool:
+    p, q, r, s = o["p"], o["q"], o["r"], o["s"]
+    d_value, n_value = R1.split_forms(q, r)
+    return (
+        (p * q, r * s, p * r, q * s) == _point(i)
+        and all(math.gcd(a, b) == 1 for a, b in combinations((p, q, r, s), 2))
+        and p * p * d_value == s * s * n_value
+    )
+
+
+def _check_sum_difference(i: dict, o: dict) -> bool:
+    p, q, r, s = i["p"], i["q"], i["r"], i["s"]
+    return o["sum"] == p * p + s * s == q * q and o["difference"] == p * p - s * s == r * r
+
+
+def _check_inner_triples(i: dict, o: dict) -> bool:
+    p, q, r, s = i["p"], i["q"], i["r"], i["s"]
+    return _generated(o["s0"], o["t0"], p, s, q) and _generated(o["s0p"], o["t0p"], r, s, p)
+
+
 # Kind -> (the input record whose coordinates key sign_changes, the stages
 # with their replay checks in order).
 _REPLAY_SEQUENCES = {
@@ -394,7 +433,7 @@ _REPLAY_SEQUENCES = {
         (STAGE_SQUARE_EXTRACT, _check_forward_square_extract),
         (STAGE_DIFFERENCE_OF_SQUARES, _check_forward_difference),
         (STAGE_TWIN_TRIPLE_DECOMPOSE, _check_twin_decompose),
-        (STAGE_ASSEMBLE, _check_forward_assemble),
+        (STAGE_ASSEMBLE, _assembles_r1("lam", "gam", "lam_p", "gam_p")),
     )),
     KIND_BIQUADRATIC_LIFT: (ResolventSolution, (
         (STAGE_DIFFERENCE_OF_SQUARES, _check_lift_ts),
@@ -403,10 +442,16 @@ _REPLAY_SEQUENCES = {
     )),
     KIND_SYMMETRIC_REDUCE: (QuarticSolution, (
         (STAGE_TRIPLE_DECOMPOSE, _check_symmetric_triple),
-        (STAGE_ASSEMBLE, _check_symmetric_assemble),
+        (STAGE_ASSEMBLE, _assembles_r1("u", "v", "x", "y")),
     )),
     KIND_SYMMETRIC_LIFT: (ResolventSolution, (
         (STAGE_SQUARE_EXTRACT, _check_symmetric_root),
         (STAGE_ASSEMBLE, _check_symmetric_final),
+    )),
+    KIND_DESCENT: (ResolventSolution, (
+        (STAGE_REARRANGE, _check_rearrange),
+        (STAGE_SUM_DIFFERENCE, _check_sum_difference),
+        (STAGE_INNER_TRIPLES, _check_inner_triples),
+        (STAGE_ASSEMBLE, _assembles_r1("s0", "t0", "s0p", "t0p")),
     )),
 }

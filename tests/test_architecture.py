@@ -40,7 +40,9 @@ LAYERS = {
     "core_arith": frozenset({"_value", "errors"}),
     "equations": _ARITH,
     "reduction": _EQUATIONS,
-    "descent": _EQUATIONS,
+    # A descent step is an R1 -> R1 reduction trace, built and replayed by
+    # reduction's one engine.
+    "descent": _EQUATIONS | {"reduction"},
     "search": _EQUATIONS | {"reduction"},
     "cli": _ENGINES,
     "__init__": _ENGINES,

@@ -240,18 +240,84 @@ def test_map_documents_are_byte_stable(capsys, command, fmt):
     assert run_cli(capsys, [*argv, "--format", fmt]) == (0, _MAP_DOCUMENTS[command, fmt], "")
 
 
-def test_descend_command_terminals(capsys):
-    code, out, _ = run_cli(capsys, ["descend", "--tuple", "1,0,1,0"])
-    assert code == 0
-    assert json.loads(out)["terminal"]["kind"] == "TrivialInput"
+# The descend documents' bytes in each format, as bench/reference.json
+# records them: every real input ends before the first step.
+_DESCEND_DOCUMENTS = {
+    ("1,0,1,0", "json"): (
+        '{"source":[1,0,1,0],"steps":[],"terminal":{"kind":"TrivialInput","values":{"input":[1,0,1,0]}}}\n'
+    ),
+    ("1,0,1,0", "csv"): (
+        'key,value\n'
+        'source,"[1, 0, 1, 0]"\n'
+        'steps,[]\n'
+        'terminal,"{""kind"": ""TrivialInput"", ""values"": {""input"": [1, 0, 1, 0]}}"\n'
+    ),
+    ("1,0,1,0", "text"): textwrap.dedent("""\
+        {
+          "source": [
+            1,
+            0,
+            1,
+            0
+          ],
+          "steps": [],
+          "terminal": {
+            "kind": "TrivialInput",
+            "values": {
+              "input": [
+                1,
+                0,
+                1,
+                0
+              ]
+            }
+          }
+        }
+    """),
+    ("3,1,3,1", "json"): (
+        '{"source":[3,1,3,1],"steps":[],"terminal":{"kind":"NonSolutionInput","values":{"input":[3,1,3,1]}}}\n'
+    ),
+    ("3,1,3,1", "csv"): (
+        'key,value\n'
+        'source,"[3, 1, 3, 1]"\n'
+        'steps,[]\n'
+        'terminal,"{""kind"": ""NonSolutionInput"", ""values"": {""input"": [3, 1, 3, 1]}}"\n'
+    ),
+    ("3,1,3,1", "text"): textwrap.dedent("""\
+        {
+          "source": [
+            3,
+            1,
+            3,
+            1
+          ],
+          "steps": [],
+          "terminal": {
+            "kind": "NonSolutionInput",
+            "values": {
+              "input": [
+                3,
+                1,
+                3,
+                1
+              ]
+            }
+          }
+        }
+    """),
+}
 
-    code, out, _ = run_cli(capsys, ["descend", "--tuple", "3,1,3,1"])
-    assert code == 0
-    assert json.loads(out)["terminal"]["kind"] == "NonSolutionInput"
 
-    code, _, err = run_cli(capsys, ["descend", "--target", "R2", "--tuple", "1,0,1,0"])
-    assert code == 1
-    assert "R1" in err
+@pytest.mark.parametrize("point, fmt", list(_DESCEND_DOCUMENTS), ids=[f"{p}-{f}" for p, f in _DESCEND_DOCUMENTS])
+def test_descend_documents_are_byte_stable(capsys, point, fmt):
+    argv = ["descend", f"--tuple={point}", "--format", fmt]
+    assert run_cli(capsys, argv) == (0, _DESCEND_DOCUMENTS[point, fmt], "")
+
+
+def test_descend_refuses_the_second_resolvent_byte_for_byte(capsys):
+    assert run_cli(capsys, ["descend", "--target", "R2", "--tuple=1,0,1,0"]) == (
+        1, "", "descent-forge: error: descent only supports R1, got R2\n",
+    )
 
 
 def test_residues_command(capsys):

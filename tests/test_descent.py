@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from descent_forge import descent
+from descent_forge import descent, reduction
 from descent_forge.core_arith import coprime_split, factorize
 from descent_forge.descent import (
     MODULUS_LIMIT,
@@ -21,7 +21,6 @@ from descent_forge.descent import (
     TERMINAL_STAGE_FAILURE,
     TERMINAL_TRIVIAL_INPUT,
     TERMINAL_TRIVIAL_REACHED,
-    DescentStep,
     DescentTerminal,
     DescentTrace,
     ObstructionReport,
@@ -34,7 +33,7 @@ from descent_forge.descent import (
     split_stage,
     sum_difference_stage,
 )
-from descent_forge.equations import R1, R2, ResolventSolution, ResolventSystem, resolvent_solution
+from descent_forge.equations import R1, R2, ResolventSolution, ResolventSystem
 from descent_forge.errors import (
     BoundExceeded,
     InternalInvariantBroken,
@@ -44,6 +43,7 @@ from descent_forge.errors import (
     TrivialInput,
     UnsupportedResolvent,
 )
+from descent_forge.reduction import KIND_DESCENT, ReductionTrace
 from descent_forge.search import search_resolvent
 
 
@@ -345,53 +345,6 @@ def test_descent_step_domain_is_empty_at_desk_scale():
             descent_step(*quad)
 
 
-def _trivial_solution() -> ResolventSolution:
-    return resolvent_solution(R1, 1, 0, 1, 0)
-
-
-def test_synthetic_step_validates_strict_decrease():
-    step = DescentStep(
-        input=_trivial_solution(),
-        split=(1, 1, 1, 1),
-        inner_solutions=((1, 0), (1, 0)),
-        output=_trivial_solution(),
-        nu_in=3,
-        nu_out=2,
-    )
-    step.validate()
-    data = step.to_dict()
-    assert data["nu_in"] == 3 and data["nu_out"] == 2
-    assert data["split"] == {"p": 1, "q": 1, "r": 1, "s": 1}
-
-
-def test_synthetic_step_rejects_non_decreasing_valuation():
-    step = DescentStep(
-        input=_trivial_solution(),
-        split=(1, 1, 1, 1),
-        inner_solutions=((1, 0), (1, 0)),
-        output=_trivial_solution(),
-        nu_in=2,
-        nu_out=2,
-    )
-    with pytest.raises(InternalInvariantBroken):
-        step.validate()
-
-
-def test_synthetic_step_rejects_invalid_output():
-    # Bypass the factory to build a quadruple that fails the quadratic check.
-    bogus = ResolventSolution("R1", 2, 1, 2, 1, trivial=False)
-    step = DescentStep(
-        input=_trivial_solution(),
-        split=(1, 1, 1, 1),
-        inner_solutions=((1, 0), (1, 0)),
-        output=bogus,
-        nu_in=3,
-        nu_out=1,
-    )
-    with pytest.raises(InternalInvariantBroken):
-        step.validate()
-
-
 def test_descent_chain_trivial_input_terminal():
     trace = descent_chain(1, 0, 1, 0)
     assert trace == descent_chain(1, 0, 1, 0)
@@ -431,19 +384,19 @@ _STAND_IN_POINT = (2, 3, 3, 2)
 
 
 def _scripted_steps(monkeypatch, outputs):
-    """Make descent.descent_step emit steps with the given outputs in turn."""
+    """Make descent.descent_step emit step traces with the given final
+    points in turn."""
     calls = []
 
     def fake_step(x, y, xp, yp, system):
         calls.append((x, y, xp, yp))
         output = outputs[min(len(calls), len(outputs)) - 1]
-        return DescentStep(
-            input=ResolventSolution("R1", x, y, xp, yp, trivial=False),
-            split=(1, 1, 1, 1),
-            inner_solutions=((1, 0), (1, 0)),
-            output=ResolventSolution("R1", *output, trivial=output[0] * output[1] == 0),
-            nu_in=2,
-            nu_out=1,
+        return ReductionTrace(
+            KIND_DESCENT,
+            (x, y, xp, yp),
+            dict.fromkeys(ResolventSolution.coordinates, 1),
+            (),
+            ResolventSolution("R1", *output, trivial=output[0] * output[1] == 0),
         )
 
     monkeypatch.setattr(descent, "descent_step", fake_step)
@@ -507,42 +460,52 @@ def test_descent_chain_trivial_reached_terminal(monkeypatch):
     trace = descent_chain(*_STAND_IN_POINT, system=_STAND_IN)
     assert calls == [_STAND_IN_POINT, (3, 2, 2, 3)]
     assert len(trace.steps) == 2
+    # A step prints as the reduction trace it is.
+    assert [step["kind"] for step in trace.to_dict()["steps"]] == [KIND_DESCENT] * 2
     assert trace.to_dict()["terminal"] == {
         "kind": TERMINAL_TRIVIAL_REACHED,
         "values": {"output": [1, 0, 1, 0]},
     }
 
 
-def test_real_descent_step_reaches_a_trivial_output(monkeypatch):
-    # Stages stubbed so the real descent_step assembles the trivial R1
-    # point (1, 0, 1, 0): it records no valuation for it (nu(0) is
-    # undefined), and the chain ends there.
+def _stub_stages(monkeypatch):
+    """Stub the stages so the real descent_step assembles the trivial R1
+    point (1, 0, 1, 0) from the split (1, 2, 3, 1)."""
     monkeypatch.setattr(descent, "split_stage", lambda *_: (1, 2, 3, 1))
     monkeypatch.setattr(descent, "sum_difference_stage", lambda *_: (2, 0))
     monkeypatch.setattr(descent, "inner_triples_stage", lambda *_: ((1, 0), (1, 0)))
-    step = descent_step(*_STAND_IN_POINT, system=_STAND_IN)
-    assert step.output == _trivial_solution()
-    assert (step.nu_in, step.nu_out) == (2, None)
-    assert step.to_dict()["nu_out"] is None
-    trace = descent_chain(*_STAND_IN_POINT, system=_STAND_IN)
-    assert trace.steps == (step,)
-    assert trace.terminal == DescentTerminal(
-        TERMINAL_TRIVIAL_REACHED, values={"output": [1, 0, 1, 0]}
-    )
 
 
-def test_synthetic_step_refuses_a_missing_valuation_on_a_nontrivial_output():
-    nontrivial = ResolventSolution("R1", 2, 3, 3, 2, trivial=False)
-    step = DescentStep(
-        input=nontrivial,
-        split=(1, 2, 3, 1),
-        inner_solutions=((2, 3), (3, 2)),
-        output=nontrivial,
-        nu_in=2,
-        nu_out=None,
-    )
-    with pytest.raises(InternalInvariantBroken, match="no nu_out"):
-        step.validate()
+def test_real_descent_step_refuses_a_stubbed_split(monkeypatch):
+    # Replay refuses the step: the split (1, 2, 3, 1) of the stand-in's
+    # point fails R1's p^2 D = s^2 N (-5 against 13), so neither the step
+    # nor the chain returns a trace.
+    _stub_stages(monkeypatch)
+    for run in (descent_step, descent_chain):
+        with pytest.raises(InternalInvariantBroken, match="stage Rearrange of R1->R1 does not replay"):
+            run(*_STAND_IN_POINT, system=_STAND_IN)
+
+
+def test_real_descent_step_records_what_its_replay_reads(monkeypatch):
+    # No real input reaches a step's trace, so this pins its shape: the
+    # stubbed stages' values, recorded under the names each stage's
+    # replay check reads, from the canonical point with its signs.
+    _stub_stages(monkeypatch)
+    monkeypatch.setattr(reduction, "replayed", lambda *fields: fields)
+    kind, source, signs, steps, final = descent_step(-2, 3, -3, 2, system=_STAND_IN)
+    assert (kind, source, signs) == (KIND_DESCENT, (2, 3, 3, 2), {"x": -1, "y": 1, "xp": -1, "yp": 1})
+    split = {"p": 1, "q": 2, "r": 3, "s": 1}
+    generators = {"s0": 1, "t0": 0, "s0p": 1, "t0p": 0}
+    assert [step.to_dict() for step in steps] == [
+        {"stage": STAGE_REARRANGE, "inputs": {"x": 2, "y": 3, "xp": 3, "yp": 2}, "outputs": split},
+        {"stage": STAGE_SUM_DIFFERENCE, "inputs": split, "outputs": {"sum": 2, "difference": 0}},
+        {"stage": STAGE_INNER_TRIPLES, "inputs": split, "outputs": generators},
+        {"stage": STAGE_ASSEMBLE, "inputs": generators, "outputs": final.named()},
+    ]
+    assert final.as_tuple() == (1, 0, 1, 0)
+    # Every check finds each name it reads (a missing one raises KeyError).
+    for step, (_, check) in zip(steps, reduction._REPLAY_SEQUENCES[kind][1]):
+        check(step.inputs, step.outputs)
 
 
 def test_descent_chain_step_cap_raises(monkeypatch):
@@ -551,9 +514,6 @@ def test_descent_chain_step_cap_raises(monkeypatch):
     with pytest.raises(InternalInvariantBroken, match="exceeded 3 steps"):
         descent_chain(*_STAND_IN_POINT, system=_STAND_IN)
     assert len(calls) == 3
-
-
-_TRIVIAL_R1 = ResolventSolution("R1", 1, 0, 1, 0, True)
 
 
 @pytest.mark.parametrize(
@@ -568,16 +528,6 @@ _TRIVIAL_R1 = ResolventSolution("R1", 1, 0, 1, 0, True)
             None,
             "ObstructionReport(system_id='R1', modulus=3, analysis_modulus=3, forced=True,"
             " surviving_products=(0,), survivor_classes=4)",
-        ),
-        (
-            DescentStep,
-            {
-                "input": _TRIVIAL_R1, "split": (1, 1, 1, 1), "inner_solutions": ((1, 0), (1, 0)),
-                "output": _TRIVIAL_R1, "nu_in": 2, "nu_out": 1,
-            },
-            None,
-            f"DescentStep(input={_TRIVIAL_R1!r}, split=(1, 1, 1, 1),"
-            f" inner_solutions=((1, 0), (1, 0)), output={_TRIVIAL_R1!r}, nu_in=2, nu_out=1)",
         ),
         (
             DescentTerminal,

@@ -26,9 +26,13 @@ from descent_forge.errors import (
     TrivialInput,
 )
 from descent_forge.reduction import (
+    KIND_DESCENT,
     STAGE_ASSEMBLE,
     STAGE_DIFFERENCE_OF_SQUARES,
+    STAGE_INNER_TRIPLES,
+    STAGE_REARRANGE,
     STAGE_SQUARE_EXTRACT,
+    STAGE_SUM_DIFFERENCE,
     STAGE_TRIPLE_DECOMPOSE,
     STAGE_TWIN_TRIPLE_DECOMPOSE,
     ReductionTrace,
@@ -206,12 +210,30 @@ def test_replay_rejects_unknown_kinds():
         replay_trace(_rebuilt(trace, kind="E9->R1"))
 
 
+def _descent_trace():
+    """The one R1 -> R1 trace that replays, built by hand: a nontrivial
+    source would give a split that passes SumDifferenceForms, so a
+    nontrivial point (p, s, q*r) of E1, x^4 - y^4 = z^2, which has none."""
+    source = {"x": 1, "y": 0, "xp": 1, "yp": 0}
+    split = {"p": 1, "q": 1, "r": 1, "s": 0}
+    generators = {"s0": 1, "t0": 0, "s0p": 1, "t0p": 0}
+    steps = [
+        TraceStep(STAGE_REARRANGE, source, split),
+        TraceStep(STAGE_SUM_DIFFERENCE, dict(split), {"sum": 1, "difference": 1}),
+        TraceStep(STAGE_INNER_TRIPLES, dict(split), generators),
+        TraceStep(STAGE_ASSEMBLE, dict(generators), dict(source)),
+    ]
+    signs = dict.fromkeys(ResolventSolution.coordinates, 1)
+    return reduction.replayed(KIND_DESCENT, (1, 0, 1, 0), signs, steps, resolvent_solution(R1, 1, 0, 1, 0))
+
+
 # One trace of each kind.
 _MAKE_TRACE = {
     "E2->R1": lambda: _forward_stages(1, 0, 1),
     "R1->E2": lambda: backward_lift_biquadratic(1, 0, 1, 0),
     "E4->R1": lambda: sextic_to_resolvent(0, 1, 1),
     "R1->E4": lambda: resolvent_to_sextic(1, 0, 1, 0),
+    "R1->R1": _descent_trace,
 }
 
 
@@ -246,6 +268,7 @@ def test_replay_rejects_a_dropped_step(kind):
         ("R1->E2", quartic_solution(equation_by_id("E2"), 0, 1, 2)),
         ("E4->R1", resolvent_solution(R1, 1, 0, 1, 0)),
         ("R1->E4", quartic_solution(equation_by_id("E4"), 0, 1, 1)),
+        ("R1->R1", resolvent_solution(R1, 1, 0, 0, 1)),
     ],
     ids=list(_MAKE_TRACE),
 )
@@ -304,6 +327,48 @@ def test_replay_rejects_a_symmetric_triple_not_built_from_x_and_y():
     tampered = TraceStep(first.stage, {**first.inputs, "x": 2}, first.outputs)
     with pytest.raises(InternalInvariantBroken, match="TripleDecompose .* does not replay"):
         replay_trace(_rebuilt(trace, steps=(tampered,) + trace.steps[1:]))
+
+
+# Each tampering of one R1 -> R1 step breaks one clause of its replay check:
+# (stage, changed inputs, changed outputs). The final point follows the
+# Assemble outputs, so only the stage check can see a tampered output.
+_DESCENT_TAMPERS = {
+    "split does not rebuild the source": (STAGE_REARRANGE, {"x": 2}, {}),
+    "split parts share a factor": (STAGE_REARRANGE, {"x": 2, "xp": 2}, {"q": 2, "r": 2}),
+    "split fails p^2 D = s^2 N": (STAGE_REARRANGE, {"y": 1, "yp": 1}, {"s": 1}),
+    "q^2 is not p^2 + s^2": (STAGE_SUM_DIFFERENCE, {"q": 2}, {}),
+    "r^2 is not p^2 - s^2": (STAGE_SUM_DIFFERENCE, {"r": 2}, {}),
+    "recorded sum is not p^2 + s^2": (STAGE_SUM_DIFFERENCE, {}, {"sum": 2}),
+    "(s0, t0) does not generate (p, s, q)": (STAGE_INNER_TRIPLES, {"q": 2}, {}),
+    "(s0p, t0p) does not generate (r, s, p)": (STAGE_INNER_TRIPLES, {"r": 2}, {}),
+    "output is not the generators": (STAGE_ASSEMBLE, {}, {"xp": 0, "yp": 1}),
+    "output is off R1": (
+        STAGE_ASSEMBLE, {"s0": 2, "t0": 1, "s0p": 2, "t0p": 1}, {"x": 2, "y": 1, "xp": 2, "yp": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("stage, inputs, outputs", _DESCENT_TAMPERS.values(), ids=list(_DESCENT_TAMPERS))
+def test_replay_rejects_a_tampered_descent_step(stage, inputs, outputs):
+    trace = _descent_trace()
+    index = [step.stage for step in trace.steps].index(stage)
+    step = trace.steps[index]
+    tampered = TraceStep(stage, {**step.inputs, **inputs}, {**step.outputs, **outputs})
+    steps = trace.steps[:index] + (tampered,) + trace.steps[index + 1:]
+    # Replay reads only the final point's coordinates.
+    final = ResolventSolution("R1", **steps[-1].outputs, trivial=False)
+    with pytest.raises(InternalInvariantBroken, match=f"stage {stage} of R1->R1 does not replay"):
+        replay_trace(_rebuilt(trace, steps=steps, final=final))
+
+
+def test_replay_rejects_inner_triples_off_the_shared_leg():
+    # (3, 2) generates (5, 12, 13), not (5, 4, 13), while (2, 1) generates
+    # (3, 4, 5): only s = 2*s0*t0 fails. That clause, with y = r*s from
+    # Rearrange, is the step's strict descent: nu(s0*t0) = nu(s) - 1 <
+    # nu(x*y). No whole trace isolates it, since no nontrivial split
+    # passes the stages before it, so the check is called directly.
+    split = {"p": 5, "q": 13, "r": 3, "s": 4}
+    assert not reduction._check_inner_triples(split, {"s0": 3, "t0": 2, "s0p": 2, "t0p": 1})
 
 
 @pytest.mark.parametrize("kind", _MAKE_TRACE)
@@ -418,6 +483,7 @@ def test_lift_soundness_over_all_searched_resolvent_solutions():
         ("R1->E2", ResolventSolution, [1, 0, 1, 0], [1, 0, 1]),
         ("E4->R1", QuarticSolution, [0, 1, 1], [1, 0, 0, 1]),
         ("R1->E4", ResolventSolution, [1, 0, 1, 0], [1, 0, 1]),
+        ("R1->R1", ResolventSolution, [1, 0, 1, 0], [1, 0, 1, 0]),
     ],
     ids=list(_MAKE_TRACE),
 )
