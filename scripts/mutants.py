@@ -15,8 +15,8 @@ unmutated copy, where they must pass.
 Exits 1 if a mutant survives, if a snippet does not occur exactly once in
 its file (so the table cannot go stale silently), or if a run neither
 passes nor fails (a test id that no longer exists, a collection error);
-else 0. Needs pytest and hypothesis, as the tests do. The 46 rows take
-51-57 s on a 2-vCPU host.
+else 0. Needs pytest and hypothesis, as the tests do. The 49 rows take
+57-69 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -157,6 +157,34 @@ MUTANTS = (
         "    source = x, y, xp, yp = tuple(canonical.values())\n",
         "    source = tuple(canonical.values())\n",
         ("tests/test_descent.py::test_descent_step_runs_its_stages_in_order_on_absolute_values",),
+    ),
+    (
+        "a descent step assembles its output outside the stage guard",
+        f"{PACKAGE}/descent.py",
+        "    with stage(STAGE_ASSEMBLE, generators):\n        output = resolvent_solution(",
+        "    output = resolvent_solution(",
+        ("tests/test_descent.py::test_descent_chain_reports_a_refused_assembly_as_a_stage_failure",),
+    ),
+    (
+        "descent checks its input by hand before building the record",
+        f"{PACKAGE}/descent.py",
+        "    point = resolvent_solution(system, x, y, xp, yp)\n",
+        "    if x * y and x * x - y * y != xp * xp + yp * yp:\n"
+        '        raise NotASolution(f"({x}, {y}, {xp}, {yp}) does not satisfy R1")\n'
+        "    point = resolvent_solution(system, x, y, xp, yp)\n",
+        ("tests/test_architecture.py::test_one_home[not_a_solution_raised_only_in_equations]",),
+    ),
+    (
+        "replay lets a malformed step's KeyError or TypeError escape",
+        f"{PACKAGE}/reduction.py",
+        "        except (KeyError, TypeError):",
+        "        except ArithmeticError:",
+        (
+            "tests/test_reduction.py::test_replay_refuses_a_malformed_step[E4->R1-deleted key]",
+            "tests/test_reduction.py::test_replay_refuses_a_malformed_step[E4->R1-string value]",
+            "tests/test_reduction.py::test_replay_refuses_a_malformed_step[R1->R1-deleted key]",
+            "tests/test_reduction.py::test_replay_refuses_a_malformed_step[R1->R1-string value]",
+        ),
     ),
     (
         "2-adic analysis depth 2 instead of 3",

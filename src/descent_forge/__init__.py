@@ -47,7 +47,6 @@ from .errors import (
     DescentForgeError,
     InternalInvariantBroken,
     InvalidGenerators,
-    NotAResolventSolution,
     NotASolution,
     NotATriple,
     NotPrimitive,
@@ -86,7 +85,6 @@ __all__ = [
     "DescentTrace",
     "InternalInvariantBroken",
     "InvalidGenerators",
-    "NotAResolventSolution",
     "NotASolution",
     "NotATriple",
     "NotPrimitive",

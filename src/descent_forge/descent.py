@@ -29,12 +29,7 @@ import math
 from . import reduction
 from ._value import Frozen
 from .core_arith import coprime_split, factorize, nu, pythagorean_decompose
-from .equations import (
-    R1,
-    ResolventSystem,
-    check_resolvent,
-    resolvent_solution,
-)
+from .equations import R1, ResolventSystem, resolvent_solution
 from .errors import (
     BoundExceeded,
     InternalInvariantBroken,
@@ -53,7 +48,6 @@ MODULUS_LIMIT = 10**4
 
 TERMINAL_TRIVIAL_INPUT = "TrivialInput"
 TERMINAL_NON_SOLUTION = "NonSolutionInput"
-TERMINAL_TRIVIAL_REACHED = "TrivialReached"
 TERMINAL_STAGE_FAILURE = "StageFailure"
 
 
@@ -290,18 +284,18 @@ def descent_step(
     """One full descent step on a non-trivial solution of R1, as a replayed
     R1 -> R1 trace: Rearrange, SumDifferenceForms, InnerTriples, Assemble.
 
-    The genuine domain is empty, so every real call raises TrivialInput or
-    NotASolution during validation; the pipeline below is the audited
-    construction that would manufacture a smaller solution if a
-    non-trivial one were ever presented.
+    The input is validated once, by building its solution record: a point
+    off the system raises NotASolution, a trivial one TrivialInput. The
+    genuine domain is empty, so every real call raises one of the two; the
+    pipeline below is the audited construction that would manufacture a
+    smaller solution if a non-trivial one were ever presented.
     """
     if system.id != R1.id:
         raise UnsupportedResolvent(f"descent only supports R1, got {system.id}")
-    if not check_resolvent(system, x, y, xp, yp):
-        raise NotASolution(f"({x}, {y}, {xp}, {yp}) does not satisfy R1")
-    if x * y == 0:
+    point = resolvent_solution(system, x, y, xp, yp)
+    if point.trivial:
         raise TrivialInput(f"({x}, {y}, {xp}, {yp}) is trivial")
-    canonical, signs = reduction._canonicalize(resolvent_solution(system, x, y, xp, yp))
+    canonical, signs = reduction._canonicalize(point)
     source = x, y, xp, yp = tuple(canonical.values())
 
     p, q, r, s = split_stage(x, y, xp, yp)
@@ -327,11 +321,11 @@ def descent_chain(
 ) -> DescentTrace:
     """Iterate descent_step until a terminal state is reached.
 
-    Terminals: TrivialInput (the input itself was trivial),
-    NonSolutionInput, TrivialReached (a step emitted a trivial solution)
-    and StageFailure. descent_step validates every input and replays each
-    step's R1 -> R1 trace, whose final point satisfies R1, so only the
-    chain's own input can be rejected. Replay implies strict descent; the
+    Three terminals: TrivialInput (the input itself was trivial),
+    NonSolutionInput and StageFailure. descent_step validates every input
+    and replays each step's R1 -> R1 trace, whose final point satisfies R1
+    and is non-trivial (y = r*s != 0 with s = 2*s0*t0), so only the chain's
+    own input can be rejected. Replay implies strict descent; the
     nu(x*y) + 1 step cap is a backstop that raises InternalInvariantBroken.
     """
     source = current = (x, y, xp, yp)
@@ -352,12 +346,6 @@ def descent_chain(
         if not steps:
             cap = nu(x * y) + 1
         steps.append(step)
-        if step.final.trivial:
-            terminal = DescentTerminal(
-                TERMINAL_TRIVIAL_REACHED,
-                values={"output": list(step.final.as_tuple())},
-            )
-            break
         if len(steps) >= cap:
             raise InternalInvariantBroken(
                 f"descent exceeded {cap} steps from {source}"

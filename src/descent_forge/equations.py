@@ -18,7 +18,7 @@ from operator import attrgetter
 
 from ._value import Frozen
 from .core_arith import isqrt_exact
-from .errors import NotAResolventSolution, NotASolution
+from .errors import NotASolution
 
 MEMBER_R1 = "R1"
 MEMBER_R2 = "R2"
@@ -249,7 +249,7 @@ def resolvent_solution(
 ) -> ResolventSolution:
     """Validate (x, y, xp, yp) against sys and wrap it."""
     if not check_resolvent(sys, x, y, xp, yp):
-        raise NotAResolventSolution(
+        raise NotASolution(
             f"({x}, {y}, {xp}, {yp}) does not satisfy {sys.id}"
         )
     return ResolventSolution(sys.id, x, y, xp, yp, trivial=x * y == 0)

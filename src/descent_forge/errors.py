@@ -50,11 +50,7 @@ class TrivialInput(DescentForgeError):
 
 
 class NotASolution(DescentForgeError):
-    """Claimed solution does not satisfy its equation."""
-
-
-class NotAResolventSolution(DescentForgeError):
-    """Claimed solution does not satisfy the resolvent system."""
+    """Claimed solution does not satisfy its equation or resolvent system."""
 
 
 class UnsupportedResolvent(DescentForgeError):
@@ -91,11 +87,11 @@ def stage(name: str, values: dict[str, object]) -> Iterator[None]:
     """Run a deduction stage, turning a rejected triple or solution record
     into StageFailure(name, values plus "reason").
 
-    The rejections converted are NotATriple, NotPrimitive, ParityError,
-    NotASolution and NotAResolventSolution; the original exception becomes
-    the failure's __cause__. Every other exception passes through.
+    The four rejections converted are NotATriple, NotPrimitive, ParityError
+    and NotASolution; the original exception becomes the failure's
+    __cause__. Every other exception passes through.
     """
     try:
         yield
-    except (NotATriple, NotPrimitive, ParityError, NotASolution, NotAResolventSolution) as exc:
+    except (NotATriple, NotPrimitive, ParityError, NotASolution) as exc:
         raise StageFailure(name, {**values, "reason": str(exc)}) from exc

@@ -290,10 +290,11 @@ def replay_trace(trace: ReductionTrace) -> ReductionTrace:
     Raises InternalInvariantBroken unless the steps are their kind's stages
     in order, source is non-negative, sign_changes maps each coordinate of
     the kind's input record, in order, to 1 or -1, each step's outputs
-    follow from its inputs under the stage's defining identity, and final
-    holds the last step's outputs. Every map and descent step returns its
-    trace through this check, so a caller needs it only for a trace changed
-    after it was built.
+    follow from its inputs under the stage's defining identity (a step
+    missing a name its check reads, or holding a value of the wrong type,
+    does not), and final holds the last step's outputs. Every map and
+    descent step returns its trace through this check, so a caller needs
+    it only for a trace changed after it was built.
     """
     point, sequence = _REPLAY_SEQUENCES.get(trace.kind, (None, ()))
     stages = [step.stage for step in trace.steps]
@@ -304,7 +305,11 @@ def replay_trace(trace: ReductionTrace) -> ReductionTrace:
     if any(value < 0 for value in source) or tuple(signs) != point.coordinates or set(signs.values()) - {1, -1}:
         raise InternalInvariantBroken(f"source {source} and sign changes {signs} of {trace.kind} are not canonical")
     for step, (_, check) in zip(trace.steps, sequence):
-        if not check(step.inputs, step.outputs):
+        try:
+            replays = check(step.inputs, step.outputs)
+        except (KeyError, TypeError):  # a missing name or a non-integer value
+            replays = False
+        if not replays:
             raise InternalInvariantBroken(
                 f"stage {step.stage} of {trace.kind} does not replay: "
                 f"{step.inputs} -> {step.outputs}"

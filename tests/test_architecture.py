@@ -89,6 +89,12 @@ ONE_HOME = {
     "replay_trace_called_only_in_reduction": (
         lambda tree: _calls(tree, "replay_trace"), "reduction", None,
     ),
+    # A point off its equation or system is refused where its record is
+    # built, by quartic_solution and resolvent_solution; descent validates
+    # by building the record rather than by a second hand-written check.
+    "not_a_solution_raised_only_in_equations": (
+        lambda tree: _calls(tree, "NotASolution"), "equations", 2,
+    ),
     # _add_command_arguments sets every command's handler, for the full
     # tree and a command's own parser alike.
     "handler_default_set_once_in_cli": (

@@ -234,7 +234,7 @@ _MAP_DOCUMENTS = {
 }
 
 
-@pytest.mark.parametrize("command, fmt", list(_MAP_DOCUMENTS), ids="-".join)
+@pytest.mark.parametrize("command, fmt", list(_MAP_DOCUMENTS), ids=[f"{c}-{f}" for c, f in _MAP_DOCUMENTS])
 def test_map_documents_are_byte_stable(capsys, command, fmt):
     argv = _REDUCE_ARGV if command == "reduce" else _LIFT_ARGV
     assert run_cli(capsys, [*argv, "--format", fmt]) == (0, _MAP_DOCUMENTS[command, fmt], "")

@@ -20,7 +20,6 @@ from descent_forge.descent import (
     TERMINAL_NON_SOLUTION,
     TERMINAL_STAGE_FAILURE,
     TERMINAL_TRIVIAL_INPUT,
-    TERMINAL_TRIVIAL_REACHED,
     DescentTerminal,
     DescentTrace,
     ObstructionReport,
@@ -329,8 +328,9 @@ def test_descent_step_rejects_trivial_solutions(quad):
 
 @pytest.mark.parametrize("quad", [(6, 35, 10, 21), (3, 1, 3, 1), (0, 1, 1, 0)])
 def test_descent_step_rejects_non_solutions(quad):
-    with pytest.raises(NotASolution):
+    with pytest.raises(NotASolution) as info:
         descent_step(*quad)
+    assert str(info.value) == f"({', '.join(map(str, quad))}) does not satisfy R1"
 
 
 def test_descent_step_supports_only_the_first_resolvent():
@@ -385,18 +385,20 @@ _STAND_IN_POINT = (2, 3, 3, 2)
 
 def _scripted_steps(monkeypatch, outputs):
     """Make descent.descent_step emit step traces with the given final
-    points in turn."""
+    points in turn, or raise an entry that is an exception."""
     calls = []
 
     def fake_step(x, y, xp, yp, system):
         calls.append((x, y, xp, yp))
         output = outputs[min(len(calls), len(outputs)) - 1]
+        if isinstance(output, Exception):
+            raise output
         return ReductionTrace(
             KIND_DESCENT,
             (x, y, xp, yp),
             dict.fromkeys(ResolventSolution.coordinates, 1),
             (),
-            ResolventSolution("R1", *output, trivial=output[0] * output[1] == 0),
+            ResolventSolution("R1", *output, trivial=False),
         )
 
     monkeypatch.setattr(descent, "descent_step", fake_step)
@@ -455,25 +457,42 @@ def test_descent_step_runs_its_stages_in_order_on_absolute_values(monkeypatch):
     assert values == {"s0": 2, "t0": 1, "s0p": 1, "t0p": 1}
 
 
-def test_descent_chain_trivial_reached_terminal(monkeypatch):
-    calls = _scripted_steps(monkeypatch, [(3, 2, 2, 3), (1, 0, 1, 0)])
+def test_descent_chain_steps_from_each_final_until_a_terminal(monkeypatch):
+    failure = StageFailure(STAGE_INNER_TRIPLES, {"p": 3, "s": 4, "reason": "not a triple"})
+    calls = _scripted_steps(monkeypatch, [(3, 2, 2, 3), (2, 3, 3, 2), failure])
     trace = descent_chain(*_STAND_IN_POINT, system=_STAND_IN)
-    assert calls == [_STAND_IN_POINT, (3, 2, 2, 3)]
+    # Each step starts from the previous step's final point.
+    assert calls == [_STAND_IN_POINT, (3, 2, 2, 3), (2, 3, 3, 2)]
     assert len(trace.steps) == 2
     # A step prints as the reduction trace it is.
     assert [step["kind"] for step in trace.to_dict()["steps"]] == [KIND_DESCENT] * 2
-    assert trace.to_dict()["terminal"] == {
-        "kind": TERMINAL_TRIVIAL_REACHED,
-        "values": {"output": [1, 0, 1, 0]},
-    }
+    assert trace.terminal == DescentTerminal(
+        TERMINAL_STAGE_FAILURE, stage=STAGE_INNER_TRIPLES, values=failure.values
+    )
 
 
-def _stub_stages(monkeypatch):
-    """Stub the stages so the real descent_step assembles the trivial R1
-    point (1, 0, 1, 0) from the split (1, 2, 3, 1)."""
+def _stub_stages(monkeypatch, inner=((1, 0), (1, 0))):
+    """Stub the stages so the real descent_step assembles the generators
+    inner, by default the trivial R1 point (1, 0, 1, 0), from the split
+    (1, 2, 3, 1)."""
     monkeypatch.setattr(descent, "split_stage", lambda *_: (1, 2, 3, 1))
     monkeypatch.setattr(descent, "sum_difference_stage", lambda *_: (2, 0))
-    monkeypatch.setattr(descent, "inner_triples_stage", lambda *_: ((1, 0), (1, 0)))
+    monkeypatch.setattr(descent, "inner_triples_stage", lambda *_: inner)
+
+
+def test_descent_chain_reports_a_refused_assembly_as_a_stage_failure(monkeypatch):
+    # The real step assembles (2, 1, 1, 1), which is off R1. That refusal
+    # is the step's Assemble StageFailure, never a NonSolutionInput: the
+    # chain's own input was a solution.
+    _stub_stages(monkeypatch, inner=((2, 1), (1, 1)))
+    trace = descent_chain(*_STAND_IN_POINT, system=_STAND_IN)
+    assert trace.steps == ()
+    generators = {"s0": 2, "t0": 1, "s0p": 1, "t0p": 1}
+    assert trace.terminal == DescentTerminal(
+        TERMINAL_STAGE_FAILURE,
+        stage=STAGE_ASSEMBLE,
+        values={**generators, "reason": "(2, 1, 1, 1) does not satisfy R1"},
+    )
 
 
 def test_real_descent_step_refuses_a_stubbed_split(monkeypatch):

@@ -30,7 +30,7 @@ from descent_forge.equations import (
     resolvent_by_id,
     resolvent_solution,
 )
-from descent_forge.errors import NotAResolventSolution, NotASolution
+from descent_forge.errors import NotASolution
 
 EXPECTED_CATALOG = {
     "E1": ((1, 0, -1, 1, 2), MEMBER_R1),
@@ -292,7 +292,7 @@ def test_split_point_solves_the_system_iff_p2_d_equals_s2_n(case):
 def test_resolvent_solution_factory():
     sol = resolvent_solution(R1, 1, 0, 1, 0)
     assert sol.trivial and sol.as_tuple() == (1, 0, 1, 0)
-    with pytest.raises(NotAResolventSolution):
+    with pytest.raises(NotASolution):
         resolvent_solution(R1, 2, 1, 2, 1)
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from descent_forge.errors import (
     InternalInvariantBroken,
-    NotAResolventSolution,
     NotASolution,
     NotATriple,
     NotPrimitive,
@@ -18,9 +17,7 @@ from descent_forge.errors import (
 )
 
 
-@pytest.mark.parametrize(
-    "rejection", [NotATriple, NotPrimitive, ParityError, NotASolution, NotAResolventSolution]
-)
+@pytest.mark.parametrize("rejection", [NotATriple, NotPrimitive, ParityError, NotASolution])
 def test_stage_turns_rejections_into_stage_failures(rejection):
     values = {"u": 2, "v": 1}
     cause = rejection("witness message")

@@ -19,7 +19,6 @@ from descent_forge.equations import (
 )
 from descent_forge.errors import (
     InternalInvariantBroken,
-    NotAResolventSolution,
     NotASolution,
     NotPrimitive,
     StageFailure,
@@ -115,17 +114,15 @@ def test_forward_stage_pipeline_on_the_degenerate_triple():
     ],
 )
 def test_rejected_assembly_is_an_assemble_stage_failure(monkeypatch, reduce_map, args, checker, values):
-    rejection = NotAResolventSolution if checker == "resolvent_solution" else NotASolution
-
     def reject(*_):
-        raise rejection("rejected by the test")
+        raise NotASolution("rejected by the test")
 
     monkeypatch.setattr(reduction, checker, reject)
     with pytest.raises(StageFailure) as info:
         reduce_map(*args)
     assert info.value.stage == STAGE_ASSEMBLE
     assert info.value.values == {**values, "reason": "rejected by the test"}
-    assert isinstance(info.value.__cause__, rejection)
+    assert isinstance(info.value.__cause__, NotASolution)
 
 
 @pytest.mark.parametrize(
@@ -329,6 +326,31 @@ def test_replay_rejects_a_symmetric_triple_not_built_from_x_and_y():
         replay_trace(_rebuilt(trace, steps=(tampered,) + trace.steps[1:]))
 
 
+# A step that lacks a name its check reads, or holds a string where the
+# check does arithmetic: (the step's index, the name) per kind.
+_MALFORMED_SITES = {"E4->R1": (0, "x"), "R1->R1": (1, "p")}
+_MALFORMED = {
+    "deleted key": lambda values, name: {key: value for key, value in values.items() if key != name},
+    "string value": lambda values, name: {**values, name: str(values[name])},
+}
+
+
+@pytest.mark.parametrize("malformed", _MALFORMED)
+@pytest.mark.parametrize("kind", _MALFORMED_SITES)
+def test_replay_refuses_a_malformed_step(kind, malformed):
+    trace = _MAKE_TRACE[kind]()
+    index, name = _MALFORMED_SITES[kind]
+    step = trace.steps[index]
+    tampered = TraceStep(step.stage, _MALFORMED[malformed](step.inputs, name), step.outputs)
+    check = reduction._REPLAY_SEQUENCES[kind][1][index][1]
+    with pytest.raises((KeyError, TypeError)):
+        check(tampered.inputs, tampered.outputs)
+    # The check's KeyError or TypeError is a step that does not replay.
+    steps = trace.steps[:index] + (tampered,) + trace.steps[index + 1:]
+    with pytest.raises(InternalInvariantBroken, match=f"stage {step.stage} of {kind} does not replay"):
+        replay_trace(_rebuilt(trace, steps=steps))
+
+
 # Each tampering of one R1 -> R1 step breaks one clause of its replay check:
 # (stage, changed inputs, changed outputs). The final point follows the
 # Assemble outputs, so only the stage check can see a tampered output.
@@ -414,7 +436,7 @@ def test_backward_lift_canonicalizes_signs():
 
 @pytest.mark.parametrize("quad", [(2, 1, 2, 1), (1, 1, 1, 1), (6, 35, 10, 21)])
 def test_backward_lift_rejects_non_solutions(quad):
-    with pytest.raises(NotAResolventSolution):
+    with pytest.raises(NotASolution):
         backward_lift_biquadratic(*quad)
 
 
@@ -449,7 +471,7 @@ def test_resolvent_to_sextic_values(quad, expected):
 
 
 def test_resolvent_to_sextic_rejects_non_solutions():
-    with pytest.raises(NotAResolventSolution):
+    with pytest.raises(NotASolution):
         resolvent_to_sextic(6, 35, 10, 21)
 
 
